@@ -12,24 +12,25 @@ cargo run --release -q -p compass-simcheck -- --soak 30
 # BENCH_obs.json) and exits nonzero on any malformed or silent output.
 cargo run --release -q -p compass-bench --bin report_obs -- target/obs-smoke >/dev/null
 # Fleet smoke: the design-space runner sweeps every knob family across
-# four workloads (frontend depth/filter, shard workers, OS-port batch,
-# kernel filter, disk wake, checkpoint record/resume), dedupes shared
-# baselines, re-runs a sampled subset at the transport baseline and
-# requires bit-identical BackendStats, and gates on zero neutrality
-# violations in the per-axis sensitivity deltas. This subsumes the old
-# quickstart filter/shard diffs and the report_ckpt smoke.
+# four workloads (frontend depth/filter, OS-port batch, disk wake,
+# checkpoint record/resume), dedupes shared baselines, re-runs a sampled
+# subset at the transport baseline and requires bit-identical
+# BackendStats, and gates on zero neutrality violations in the per-axis
+# sensitivity deltas. This subsumes the old quickstart filter diff and
+# the report_ckpt smoke.
 cargo run --release -q -p compass-fleet -- --smoke --out target/BENCH_fleet_smoke.json
 # OS-server-wall smoke: httplite BackendStats must be bit-identical
-# across OS-port batching, kernel filtering, the disk-wake path and
-# shard workers (exits nonzero on any divergence), and the measured
-# short-scale batching speedup must stay within 20% of the committed
+# across frontend and OS-port batching, reference filtering and the
+# disk-wake path (exits nonzero on any divergence), and the median
+# short-scale batching speedup of 5 BASELINE/TUNED pairs (alternating
+# which runs first) must stay within 20% of the committed
 # BENCH_http.json headline (override the baseline artifact with
 # BENCH_HTTP_BASELINE). Then a short measured sweep records the
 # kernel-path speedup artifact.
 cargo run --release -q -p compass-bench --bin report_http -- --smoke
 cargo run --release -q -p compass-bench --bin report_http -- --short >target/BENCH_http_short.json
 # Clippy over both feature combinations: default and with the per-step
-# invariant layer (which adds the mirror/epoch and shard assertions).
+# invariant layer (which adds the mirror/epoch assertions).
 cargo clippy --all-targets --workspace -- -D warnings
 cargo clippy --all-targets --workspace --features check-invariants -- -D warnings
 cargo fmt --all --check

@@ -74,18 +74,6 @@ pub struct DirStats {
     pub writebacks: u64,
 }
 
-impl DirStats {
-    /// Field-wise sum (merging node-slice directories into a global view).
-    pub fn merge(&mut self, other: &DirStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.upgrades += other.upgrades;
-        self.invalidations += other.invalidations;
-        self.forwards += other.forwards;
-        self.writebacks += other.writebacks;
-    }
-}
-
 /// The full-map directory.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
@@ -210,28 +198,6 @@ impl Directory {
                 self.entries.insert(line, DirEntry::Uncached);
             }
         }
-    }
-
-    /// True when the line has ever been through this directory. Keys
-    /// persist after eviction to [`DirEntry::Uncached`], so this is a
-    /// sticky "ever referenced here" predicate — the sharded backend's
-    /// private/global classifier depends on that stickiness.
-    #[inline]
-    pub fn contains(&self, line: u64) -> bool {
-        self.entries.contains_key(&line)
-    }
-
-    /// Removes and returns a line's entry without touching counters
-    /// (entry migration between a node-slice directory and the global
-    /// directory, not a protocol action).
-    pub fn take_entry(&mut self, line: u64) -> Option<DirEntry> {
-        self.entries.remove(&line)
-    }
-
-    /// Installs an entry verbatim without touching counters (the other
-    /// half of [`Directory::take_entry`]).
-    pub fn put_entry(&mut self, line: u64, entry: DirEntry) {
-        self.entries.insert(line, entry);
     }
 
     /// Counters.

@@ -25,6 +25,8 @@
 //! simulated-time order, so the models are plain `&mut self` state machines
 //! — no locks on the simulation hot path.
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod cache;
 pub mod config;
@@ -32,7 +34,6 @@ pub mod directory;
 pub mod filter;
 pub mod hierarchy;
 pub mod interconnect;
-pub mod shard;
 pub mod stats;
 
 pub use cache::{Cache, LineState};
@@ -41,5 +42,4 @@ pub use directory::{DirEntry, Directory};
 pub use filter::L1Mirror;
 pub use hierarchy::{Access, AccessResult, Hierarchy};
 pub use interconnect::{Interconnect, Topology};
-pub use shard::{EvictHint, NodeSlice, PrivateAccess, PrivateOutcome, SliceArena};
 pub use stats::{AccessClass, MemStats};

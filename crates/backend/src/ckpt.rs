@@ -5,7 +5,7 @@
 //! therefore records the *architecture-model outcomes* instead: every
 //! [`crate::Backend::mem_access`] and DSM page-transfer result, in engine
 //! service order, plus one snapshot of the memory hierarchy taken at a
-//! quiesced cut (in-flight window drained, nothing staged).
+//! quiesced cut between two engine steps.
 //!
 //! Resume re-executes everything live — frontend closures, OS-server
 //! threads, scheduler, VM, devices — but feeds the architecture models
@@ -18,11 +18,9 @@
 //! continues fully live, bit-identical to the recording run by
 //! construction.
 //!
-//! Recording, replay, and fast-forward all force the classic inline
-//! engine path (the shard-worker private-access classifier is disabled,
-//! exactly as when a simcheck trace recorder is attached), so the stream
-//! order is the engine's deterministic pop order regardless of
-//! `backend_workers`, batch depth, or reference filtering.
+//! Every architecture call runs on the engine thread in pop order, so
+//! the stream order is the engine's deterministic pop order regardless
+//! of batch depth or reference filtering.
 //!
 //! File format: a `compass-snap` frame (`seal`/`unseal`, FNV-1a
 //! checksummed, version-tagged) whose payload is the header
@@ -37,7 +35,9 @@ use compass_snap::{seal, unseal, Reader, SnapError, Writer};
 use std::path::PathBuf;
 
 /// Checkpoint frame version (see the module docs for the bump rule).
-pub const CKPT_VERSION: u32 = 1;
+/// Version 2: one flat hierarchy snapshot (caches, buses and memory
+/// controllers, one directory, one stats block).
+pub const CKPT_VERSION: u32 = 2;
 
 /// One recorded architecture-model outcome, in engine service order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,11 +328,14 @@ mod tests {
             w.bytes(&[]);
             w.into_bytes()
         };
-        let frame = seal(CKPT_VERSION + 1, &payload);
-        assert!(matches!(
-            CheckpointData::decode(&frame),
-            Err(SnapError::BadFrame(_))
-        ));
+        // A future version, and version 1 (per-node slice snapshots).
+        for version in [CKPT_VERSION + 1, 1] {
+            let frame = seal(version, &payload);
+            assert!(matches!(
+                CheckpointData::decode(&frame),
+                Err(SnapError::BadFrame(_))
+            ));
+        }
     }
 
     #[test]

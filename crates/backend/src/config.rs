@@ -74,21 +74,14 @@ pub struct BackendConfig {
     /// accounting makes results identical at any depth (see the engine
     /// module docs), so this is purely a host-performance knob.
     pub batch_depth: usize,
-    /// Backend worker threads the architecture model is sharded across
-    /// (1 = the classic single-threaded engine; N > 1 spawns N-1 shard
-    /// workers that run node-private memory accesses, partitioned by
-    /// home node). The classifier/retire protocol keeps `BackendStats`
-    /// bit-identical at every worker count (see the engine module docs),
-    /// so — like `batch_depth` — this is purely a host-performance knob.
-    pub workers: usize,
 }
 
 impl BackendConfig {
     /// Deterministic hash of the simulated configuration — the
     /// architecture hash ([`compass_arch::Hierarchy::config_hash`], also
     /// stored in checkpoint headers) folded with every backend knob that
-    /// shapes the simulation, including the stats-neutral transport knobs
-    /// (`batch_depth`, `workers`): two configurations that differ only in
+    /// shapes the simulation, including the stats-neutral transport knob
+    /// `batch_depth`: two configurations that differ only in
     /// transport are still distinct *runs* even though their statistics
     /// are identical, and the fleet runner dedupes on exactly this hash.
     /// `deadlock_ms` is excluded: the host watchdog is not part of the
@@ -118,7 +111,6 @@ impl BackendConfig {
             deadlock_ms: 10_000,
             irq_cpu: 0,
             batch_depth: 8,
-            workers: 1,
         }
     }
 
@@ -148,12 +140,6 @@ impl BackendConfig {
         if self.batch_depth == 0 {
             return Err("batch_depth must be at least 1".into());
         }
-        if self.workers == 0 {
-            return Err("workers must be at least 1".into());
-        }
-        if self.workers > 1 && self.mode == EngineMode::Serialized {
-            return Err("serialized mode requires workers = 1".into());
-        }
         Ok(())
     }
 }
@@ -177,9 +163,7 @@ mod tests {
         sched.sched = SchedPolicy::Affinity;
         let mut batch = base.clone();
         batch.batch_depth += 1;
-        let mut workers = base.clone();
-        workers.workers = 4;
-        let hashes = [&base, &arch, &sched, &batch, &workers].map(|c| c.config_hash());
+        let hashes = [&base, &arch, &sched, &batch].map(|c| c.config_hash());
         for i in 0..hashes.len() {
             for j in i + 1..hashes.len() {
                 assert_ne!(hashes[i], hashes[j], "configs {i} and {j} collide");
@@ -223,22 +207,6 @@ mod tests {
     fn zero_batch_depth_rejected() {
         let mut c = BackendConfig::new(ArchConfig::simple_smp(2));
         c.batch_depth = 0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn zero_workers_rejected() {
-        let mut c = BackendConfig::new(ArchConfig::simple_smp(2));
-        c.workers = 0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn serialized_mode_refuses_multiple_workers() {
-        let mut c = BackendConfig::new(ArchConfig::ccnuma(2, 2));
-        c.workers = 4;
-        c.validate().unwrap();
-        c.mode = EngineMode::Serialized;
         assert!(c.validate().is_err());
     }
 }

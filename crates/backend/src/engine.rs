@@ -59,43 +59,17 @@
 //! back — coherence invalidations, interventions, inclusion evictions,
 //! unmaps, DSM page moves, context switches, interrupt delivery — and a
 //! frontend seeing a stale epoch clears its mirrors before predicting.
-//!
-//! **Sharded backend (ISSUE 5).** With `BackendConfig::workers > 1` the
-//! engine partitions the architecture model by memory node (see
-//! `compass-arch`'s `shard` module) and ships *node-private* memory
-//! references to `workers - 1` shard worker threads. A reference is
-//! node-private when its home node is the accessing CPU's node, its
-//! coherence line has never entered the global directory (node-crossing
-//! traffic promotes lines there, stickily), it triggers no DSM transfer,
-//! no trace recorder is attached, and the poster has no pre-emption
-//! pending — exactly the cases where `Hierarchy::access` provably touches
-//! only that node's slice and replies without engine-side branching. The
-//! engine still pops events in the sequential global order and performs
-//! all per-event bookkeeping (attribution, translation, counters) at the
-//! pop; only the slice access runs remotely. Results *retire* in dispatch
-//! order, replaying the sequential reply path verbatim. Safety while
-//! accesses are in flight comes from per-process *floors*: a flying
-//! process is removed from the scanner index and a conservative lower
-//! bound on its next event key (`max` of its static reply bound and its
-//! visible ring/log head plus credit) joins a `floors` set; no candidate
-//! at or above the smallest floor is processed, and device tasks or
-//! events that classify global wait for the window to drain completely.
-//! Pop order, state mutation order, and therefore `BackendStats` are
-//! bit-identical to `workers = 1` for every worker count, batch depth,
-//! and filter setting — the sharding test battery (`tests/shard.rs`)
-//! asserts this.
 
 use crate::config::{BackendConfig, EngineMode};
 use crate::devices::{Disk, Nic, TrafficSource};
 use crate::error::{DeadlockKind, DeadlockReport, ProcDump, RunError};
 use crate::locks::{SyncOutcome, SyncTable};
 use crate::sched::{Dispatch, Scheduler};
-use crate::shard::{Done, Job, ShardPool};
 use crate::stats::{BackendStats, ProcTimes};
 use crate::tasks::{Task, TaskQueue};
 use crate::trace::{TraceRecord, TraceSink};
 use crate::vm::Vm;
-use compass_arch::{Access, AccessClass, Hierarchy, MemSysKind, PrivateAccess};
+use compass_arch::{Access, AccessClass, Hierarchy, MemSysKind};
 use compass_comm::{
     CpuStates, CtlOp, DevCmd, DevShared, Event, EventBody, EventPort, ExecMode, IrqSource,
     Notifier, Reply, ReplyData, SyncOp, TimerTick,
@@ -104,7 +78,7 @@ use compass_isa::{CpuId, Cycles, ProcessId};
 use compass_obs::{
     CounterBlock, Ctr, ProgressFn, ProgressSnapshot, TraceHandle, TraceKind, TraceRec,
 };
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -154,41 +128,6 @@ struct Held {
     wants_reply: bool,
 }
 
-/// A private memory access in flight on a shard worker. Retires in `seq`
-/// (= dispatch = sequential processing) order via the normal reply path.
-struct Flying {
-    seq: u64,
-    ev: Event,
-    wants: bool,
-    /// Translation latency charged at dispatch; the reply is
-    /// `base_lat + Done::latency`, exactly what the inline path computes.
-    base_lat: Cycles,
-    /// The `floors` entry to drop at retire.
-    floor: Key,
-}
-
-/// An event popped while private accesses were in flight that must run
-/// on the engine thread with exclusive hierarchy access. It is the
-/// globally least candidate, so nothing else may be processed before it;
-/// it runs as soon as the window drains.
-enum Staged {
-    /// Runs through `handle_event` (non-memory events, or memory events
-    /// under a trace recorder).
-    Plain { ev: Event, wants: bool },
-    /// A memory reference already translated and attributed at the pop;
-    /// only the hierarchy access and the reply remain.
-    Mem {
-        ev: Event,
-        wants: bool,
-        cpu: usize,
-        paddr: compass_mem::PAddr,
-        home: usize,
-        base_lat: Cycles,
-        write: bool,
-        mode: ExecMode,
-    },
-}
-
 struct Proc {
     state: PState,
     /// Absolute clock lower bound (time of last reply).
@@ -214,10 +153,6 @@ struct Proc {
     last_event_time: Cycles,
     /// Deschedule at the next event boundary.
     preempt_pending: bool,
-    /// A private memory access of this process is on a shard worker; the
-    /// process is invisible to the scanner until it retires (its `floors`
-    /// entry constrains candidates instead).
-    flying: bool,
     times: ProcTimes,
 }
 
@@ -329,8 +264,8 @@ pub struct Backend {
     /// simcheck reference oracle (see [`crate::trace`]).
     recorder: Option<TraceSink>,
     /// The OS server's counter block, read (never written) by progress
-    /// snapshots so heartbeats can surface `os_batched_replies` and
-    /// `kernel_refs_filtered` alongside engine-side quantities.
+    /// snapshots so heartbeats can surface `os_batched_replies`
+    /// alongside engine-side quantities.
     os_counters: Option<Arc<CounterBlock>>,
     // --- incremental least-time scanner state ---
     /// Cached per-process port classification; `pending`/`bounds` mirror it.
@@ -346,22 +281,6 @@ pub struct Backend {
     /// Per-process replay queues of filtered references, drained from the
     /// ports' log side channels; merged with the ring by `reindex`.
     logs: Vec<VecDeque<Event>>,
-    // --- shard-worker state (`cfg.workers > 1`) ---
-    /// Worker pool; `None` runs the classic single-threaded engine.
-    pool: Option<ShardPool>,
-    /// Next dispatch sequence number for private accesses.
-    next_seq: u64,
-    /// In-flight private accesses, in dispatch (= retire) order.
-    flying: VecDeque<Flying>,
-    /// Out-of-order worker completions waiting for their retire turn.
-    done_buf: BTreeMap<u64, Done>,
-    /// One key per flying process: a lower bound on its next event key.
-    /// No candidate at or above the minimum may be processed.
-    floors: BTreeSet<Key>,
-    /// Reusable buffer for draining worker completion rings.
-    done_scratch: Vec<Done>,
-    /// Event waiting for the in-flight window to drain (see [`Staged`]).
-    staged: Option<Staged>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -425,23 +344,12 @@ impl Backend {
                 cpu: None,
                 last_event_time: 0,
                 preempt_pending: false,
-                flying: false,
                 times: ProcTimes::default(),
             })
             .collect();
         // Every process starts constraining with an empty ring at bound 0.
         let indexed = vec![Indexed::Bound(0); nprocs];
         let bounds: BTreeSet<(Cycles, u64)> = (0..nprocs).map(|i| (0, i as u64)).collect();
-        // At most one private access flies per process, so `nprocs + 1`
-        // ring slots can never overflow (plus one for the Stop sentinel).
-        let pool = (cfg.workers > 1).then(|| {
-            ShardPool::new(
-                cfg.workers - 1,
-                hierarchy.share_slices(),
-                Arc::clone(&notifier),
-                nprocs + 2,
-            )
-        });
         let ncpus = cfg.arch.ncpus();
         Self {
             cfg,
@@ -487,13 +395,6 @@ impl Backend {
             // Force a full poll on the first step: posts may predate us.
             seen_epoch: u64::MAX,
             logs: (0..nprocs).map(|_| VecDeque::new()).collect(),
-            pool,
-            next_seq: 0,
-            flying: VecDeque::new(),
-            done_buf: BTreeMap::new(),
-            floors: BTreeSet::new(),
-            done_scratch: Vec::new(),
-            staged: None,
         }
     }
 
@@ -548,17 +449,6 @@ impl Backend {
         }
     }
 
-    /// True when every architecture call must run inline on the engine
-    /// thread in pop order: a simcheck trace recorder is attached, or any
-    /// checkpoint mode (record / replay / fast-forward) is active. The
-    /// shard-worker private-access classifier is disabled in this state.
-    fn arch_inline_only(&self) -> bool {
-        self.recorder.is_some()
-            || self.ckpt.is_some()
-            || self.replay.is_some()
-            || self.ff_events > 0
-    }
-
     /// True while fast-forwarding (functional warmup, no timing models).
     fn in_fast_forward(&self) -> bool {
         self.ff_events > 0 && self.events_processed <= self.ff_events
@@ -576,7 +466,7 @@ impl Backend {
     }
 
     /// Attaches the OS server's counter block so progress snapshots can
-    /// report syscall batching and kernel filtering. Setup time only.
+    /// report syscall batching. Setup time only.
     pub fn set_os_counters(&mut self, c: Arc<CounterBlock>) {
         self.os_counters = Some(c);
     }
@@ -785,10 +675,7 @@ impl Backend {
         // head selection below sees it (no-op unless the hint is set).
         self.ports[i].take_log(&mut self.logs[i]);
         let p = &self.procs[i];
-        // A flying process is invisible: its next event may not be
-        // processed (or even re-keyed — its credit changes at retire)
-        // until its in-flight access retires and reindexes it.
-        self.indexed[i] = if p.constraining() && !p.flying {
+        self.indexed[i] = if p.constraining() {
             // The head is the earlier of the replay-queue front and the
             // ring head; both carry raw frontend times, so the same
             // credit converts either to effective time.
@@ -889,7 +776,6 @@ impl Backend {
         // Wall-clock phase profiling (active vs waiting-for-frontends) is
         // taken only when counters are on: `Instant::now` is not free.
         let timing = self.obs.counters.is_some();
-        let mut drain_yields = 0u32;
         loop {
             let epoch = self.notifier.epoch();
             let mut progressed = false;
@@ -924,19 +810,6 @@ impl Backend {
                 progressed = true;
             }
             self.note_active(active_from);
-            if progressed {
-                drain_yields = 0;
-            } else if !self.flying.is_empty() && drain_yields < 100_000 {
-                // A shard window is draining: the stall resolves on
-                // worker-thread timescales (a worker panic aborts the
-                // process, so completion is guaranteed). Hand the CPU to
-                // the workers instead of paying a futex round trip per
-                // window — decisive when the host is oversubscribed. The
-                // bound keeps the deadlock watchdog reachable.
-                drain_yields += 1;
-                std::thread::yield_now();
-                continue;
-            }
             if !progressed {
                 let wait_from = timing.then(Instant::now);
                 let (_, advanced) = self
@@ -969,11 +842,6 @@ impl Backend {
     }
 
     fn finished(&mut self) -> bool {
-        // Never wrap up over a live shard window: in-flight accesses
-        // still own slice state and owe replies.
-        if !self.flying.is_empty() || self.staged.is_some() {
-            return false;
-        }
         if !self.all_apps_exited() {
             return false;
         }
@@ -1009,39 +877,6 @@ impl Backend {
     /// candidate selection and the safety horizon read one consistent
     /// snapshot and cost O(log P) instead of two O(P) sweeps.
     fn step(&mut self) -> bool {
-        // Fold finished shard work in first: retires happen in dispatch
-        // order, which is sequential processing order, and any retire is
-        // progress (it may unblock everything below).
-        let retired = self.drain_dones();
-
-        // A staged event is the globally least candidate; nothing else
-        // may run before it. It goes as soon as the window drains.
-        if self.staged.is_some() {
-            if !self.flying.is_empty() {
-                return retired;
-            }
-            let s = self.staged.take().expect("staged checked");
-            let i = match &s {
-                Staged::Plain { ev, .. } | Staged::Mem { ev, .. } => ev.pid.index(),
-            };
-            match s {
-                Staged::Plain { ev, wants } => self.handle_event(ev, wants),
-                Staged::Mem {
-                    ev,
-                    wants,
-                    cpu,
-                    paddr,
-                    home,
-                    base_lat,
-                    write,
-                    mode,
-                } => self.finish_memref(ev, wants, cpu, paddr, home, base_lat, write, mode),
-            }
-            self.reindex(i);
-            self.after_step();
-            return true;
-        }
-
         self.refresh_ports();
 
         // Serialized ("uniprocessor host") mode: wait for the last released
@@ -1058,23 +893,11 @@ impl Backend {
         let task_key = self.tasks.peek_time().map(|t| Key(t, 0, 0));
         let ev_key = self.pending.first().copied();
         let candidate = match (task_key, ev_key) {
-            (None, None) => return retired,
+            (None, None) => return false,
             (Some(t), None) => t,
             (None, Some(k)) => k,
             (Some(t), Some(k)) => t.min(k),
         };
-
-        // Shard window: a flying process's next event could key anywhere
-        // at or above its floor, so no candidate there may be processed
-        // until it retires.
-        if let Some(&f) = self.floors.first() {
-            if candidate >= f {
-                if let Some(c) = &self.obs.counters {
-                    c.inc(Ctr::ShardStalls);
-                }
-                return retired;
-            }
-        }
 
         // Safety: no constraining process may still post an earlier key.
         // A process in `bounds` has an empty ring; any future post from it
@@ -1082,20 +905,12 @@ impl Backend {
         // the clock at its last reply, and credit only grows it).
         if let Some(&(b, i)) = self.bounds.first() {
             if candidate > Key(b, 1, i) {
-                return retired;
+                return false;
             }
         }
 
         match candidate {
             Key(t, 0, _) => {
-                // Device tasks mutate global state (scheduler, pre-emption
-                // flags, interrupt routing): exclusive access required.
-                if !self.flying.is_empty() {
-                    if let Some(c) = &self.obs.counters {
-                        c.inc(Ctr::ShardStalls);
-                    }
-                    return retired;
-                }
                 let (time, task) = self.tasks.pop().expect("task peeked");
                 debug_assert_eq!(time, t);
                 self.global_time = self.global_time.max(time);
@@ -1142,7 +957,7 @@ impl Backend {
                         t.record(r);
                     }
                 }
-                self.dispatch_or_handle(ev, wants_reply);
+                self.handle_event(ev, wants_reply);
                 // The pop changed the ring head; handlers reindex every
                 // *other* process they touch, this covers the poster.
                 self.reindex(i);
@@ -1153,18 +968,15 @@ impl Backend {
     }
 
     /// Per-step epilogue: progress snapshots and (feature-gated) whole
-    /// backend invariants. Invariants only run over a drained window —
-    /// workers own slice state while accesses fly.
+    /// backend invariants.
     fn after_step(&mut self) {
         self.maybe_progress();
         #[cfg(feature = "check-invariants")]
-        if self.flying.is_empty() {
-            if let Err(e) = self.check_invariants() {
-                panic!(
-                    "invariant violated after step {}: {e}",
-                    self.events_processed
-                );
-            }
+        if let Err(e) = self.check_invariants() {
+            panic!(
+                "invariant violated after step {}: {e}",
+                self.events_processed
+            );
         }
     }
 
@@ -1271,10 +1083,6 @@ impl Backend {
                 .os_counters
                 .as_ref()
                 .map_or(0, |c| c.get(Ctr::OsBatchedReplies)),
-            kernel_refs_filtered: self
-                .os_counters
-                .as_ref()
-                .map_or(0, |c| c.get(Ctr::KernelRefsFiltered)),
             device_wake_events: self.device_wake_events,
             device_polls_eliminated: self.device_polls_eliminated,
             disk_wake_events: self.disk_wake_events,
@@ -1289,268 +1097,6 @@ impl Backend {
             t.record(r);
         }
         callback(&snap);
-    }
-
-    // ------------------------------------------------------------------
-    // Shard dispatch and retire
-    // ------------------------------------------------------------------
-
-    /// Routes a popped event: private memory references go to a shard
-    /// worker, everything else runs inline — immediately when the window
-    /// is drained, staged otherwise. With `workers = 1` this is exactly
-    /// `handle_event`.
-    fn dispatch_or_handle(&mut self, ev: Event, wants: bool) {
-        if self.pool.is_none() {
-            self.handle_event(ev, wants);
-            return;
-        }
-        // Memory references are translated once, here, whether they end
-        // up private or global — `handle_event` would translate again.
-        // A trace recorder or any checkpoint mode forces the classic
-        // path (the oracle replays engine-ordered accesses, so nothing
-        // may run out of band).
-        if let EventBody::MemRef {
-            kind, mode, vaddr, ..
-        } = ev.body
-        {
-            if !self.arch_inline_only() {
-                let pid = ev.pid;
-                let i = pid.index();
-                debug_assert!(
-                    ev.time >= self.procs[i].bound,
-                    "{pid} posted effective time {} below its bound {}",
-                    ev.time,
-                    self.procs[i].bound
-                );
-                let delta = ev.time - self.procs[i].last_event_time;
-                let mode_idx = Self::mode_index(&ev.body);
-                self.procs[i].times.by_mode[mode_idx] += delta;
-                self.procs[i].times.events += 1;
-
-                let cpu = self.cpu_for(pid);
-                let node = self.cfg.arch.node_of_cpu(cpu.index());
-                let tr = match self.vm.translate(pid, cpu, node, vaddr, kind.is_write()) {
-                    Ok(tr) => tr,
-                    Err(fault) => {
-                        self.latch_fault(fault);
-                        return;
-                    }
-                };
-                let base_lat = self.charge_translation(&tr, ev.time);
-                let private = tr.dsm.is_none()
-                    && tr.home == node
-                    && !self.procs[i].preempt_pending
-                    && !self
-                        .hierarchy
-                        .line_is_global(self.hierarchy.coh_line(tr.paddr));
-                if private {
-                    self.dispatch_private(
-                        ev,
-                        wants,
-                        cpu.index(),
-                        node,
-                        tr.paddr,
-                        kind.is_write(),
-                        Self::class_of(mode).index(),
-                        base_lat,
-                    );
-                } else if self.flying.is_empty() {
-                    self.finish_memref(
-                        ev,
-                        wants,
-                        cpu.index(),
-                        tr.paddr,
-                        tr.home,
-                        base_lat,
-                        kind.is_write(),
-                        mode,
-                    );
-                } else {
-                    if let Some(c) = &self.obs.counters {
-                        c.inc(Ctr::ShardStagedEvents);
-                    }
-                    self.staged = Some(Staged::Mem {
-                        ev,
-                        wants,
-                        cpu: cpu.index(),
-                        paddr: tr.paddr,
-                        home: tr.home,
-                        base_lat,
-                        write: kind.is_write(),
-                        mode,
-                    });
-                }
-                return;
-            }
-        }
-        // Everything else needs exclusive access to global state.
-        if self.flying.is_empty() {
-            self.handle_event(ev, wants);
-        } else {
-            if let Some(c) = &self.obs.counters {
-                c.inc(Ctr::ShardStagedEvents);
-            }
-            self.staged = Some(Staged::Plain { ev, wants });
-        }
-    }
-
-    /// The tail of the `handle_event` memory-reference arm, for events
-    /// whose attribution and translation already happened at the pop.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_memref(
-        &mut self,
-        ev: Event,
-        wants: bool,
-        cpu: usize,
-        paddr: compass_mem::PAddr,
-        home: usize,
-        base_lat: Cycles,
-        write: bool,
-        mode: ExecMode,
-    ) {
-        let res = self.mem_access(
-            cpu,
-            paddr,
-            Access {
-                write,
-                class: Self::class_of(mode),
-            },
-            home,
-            ev.time,
-        );
-        self.reply_now(ev.pid, ev, Reply::latency(base_lat + res.latency), wants);
-    }
-
-    /// Ships a node-private access to its shard worker and hides the
-    /// poster behind a floor until it retires.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_private(
-        &mut self,
-        ev: Event,
-        wants: bool,
-        cpu: usize,
-        node: usize,
-        paddr: compass_mem::PAddr,
-        write: bool,
-        class: usize,
-        base_lat: Cycles,
-    ) {
-        let i = ev.pid.index();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let floor = self.floor_key(i, ev.time, base_lat);
-        debug_assert!(
-            !self.procs[i].flying,
-            "two accesses in flight for one process"
-        );
-        self.floors.insert(floor);
-        self.procs[i].flying = true;
-        self.flying.push_back(Flying {
-            seq,
-            ev,
-            wants,
-            base_lat,
-            floor,
-        });
-        if let Some(c) = &self.obs.counters {
-            c.inc(Ctr::ShardPrivateJobs);
-        }
-        self.pool
-            .as_ref()
-            .expect("dispatch without a pool")
-            .submit(Job {
-                seq,
-                node,
-                access: PrivateAccess {
-                    cpu,
-                    paddr,
-                    write,
-                    class,
-                    now: ev.time,
-                },
-            });
-    }
-
-    /// Lower bound on process `i`'s next event key while its current
-    /// event flies: the static reply bound (the reply costs at least the
-    /// translation plus an L1 hit, and the next event cannot key below
-    /// the reply time) maxed with its visible ring/log head (raw times
-    /// are monotone per process and credit only grows, so every future
-    /// head lands at or after the currently visible one).
-    fn floor_key(&mut self, i: usize, ev_time: Cycles, base_lat: Cycles) -> Key {
-        let mut t = ev_time + base_lat + self.cfg.arch.lat.l1_hit;
-        self.ports[i].take_log(&mut self.logs[i]);
-        let head = match (
-            self.logs[i].front().map(|e| e.time),
-            self.ports[i].peek_time(),
-        ) {
-            (Some(l), Some(r)) => Some(l.min(r)),
-            (l, None) => l,
-            (None, r) => r,
-        };
-        if let Some(h) = head {
-            t = t.max(h + self.procs[i].credit);
-        }
-        Key(t, 1, i as u64)
-    }
-
-    /// Collects worker completions and retires every contiguous run of
-    /// finished accesses in dispatch order. Returns true when anything
-    /// retired.
-    fn drain_dones(&mut self) -> bool {
-        if self.flying.is_empty() {
-            return false;
-        }
-        let mut scratch = std::mem::take(&mut self.done_scratch);
-        self.pool
-            .as_ref()
-            .expect("in-flight accesses without a pool")
-            .drain_dones(&mut scratch);
-        for d in scratch.drain(..) {
-            self.done_buf.insert(d.seq, d);
-        }
-        self.done_scratch = scratch;
-        let mut progressed = false;
-        while let Some(front) = self.flying.front() {
-            let Some(d) = self.done_buf.remove(&front.seq) else {
-                break;
-            };
-            let f = self.flying.pop_front().expect("front checked");
-            self.floors.remove(&f.floor);
-            self.retire_private(f, d);
-            progressed = true;
-        }
-        progressed
-    }
-
-    /// Replays the sequential reply path for one finished private access:
-    /// directory eviction of globally-known victims, mirror-epoch bumps,
-    /// then the verbatim `reply_now`.
-    fn retire_private(&mut self, f: Flying, d: Done) {
-        if let Some(h) = d.evict {
-            // The hint means the line was absent from the worker's slice
-            // directory; the promotion invariant puts it in the global
-            // one, which only this thread touches.
-            debug_assert!(
-                self.hierarchy.line_is_global(h.line),
-                "evict hint for a slice-private line"
-            );
-            self.hierarchy.apply_evict_hint(h);
-        }
-        let mut m = d.victims;
-        while m != 0 {
-            let v = m.trailing_zeros() as usize;
-            self.cpu_states.bump_epoch(CpuId::from(v));
-            m &= m - 1;
-        }
-        let i = f.ev.pid.index();
-        self.procs[i].flying = false;
-        self.reply_now(
-            f.ev.pid,
-            f.ev,
-            Reply::latency(f.base_lat + d.latency),
-            f.wants,
-        );
     }
 
     fn handle_event(&mut self, ev: Event, wants: bool) {
@@ -2385,7 +1931,6 @@ impl Backend {
     // ------------------------------------------------------------------
 
     fn finish(self) -> SimOutcome {
-        debug_assert!(self.flying.is_empty(), "finish over a live shard window");
         // Flush the postbox's lock-free probe tally into the counter
         // catalogue. Observation-only: never part of BackendStats, so the
         // knob twins stay bit-identical by construction.
@@ -2396,10 +1941,7 @@ impl Backend {
             procs: self.procs.iter().map(|p| p.times).collect(),
             global_cycles: self.global_time,
             events: self.events_processed,
-            // Global-path counters plus every node slice's share; with
-            // `workers = 1` the slices are untouched and this equals the
-            // classic `stats()`.
-            mem: self.hierarchy.stats_merged(),
+            mem: *self.hierarchy.stats(),
             sched: self.sched.stats(),
             sync: self.sync.stats(),
             tlb: self.vm.tlb_stats(),
@@ -2536,9 +2078,8 @@ impl Backend {
     /// Checkpoint housekeeping after each serviced event: writes a cut
     /// when recording crosses the interval; swaps the hierarchy snapshot
     /// in when replay reaches the recorded cut. Cuts happen only here,
-    /// between steps, so the engine is quiesced by construction (the
-    /// classifier is disabled in checkpoint modes — nothing in flight,
-    /// nothing staged, filter logs drained through the ordinary pop path).
+    /// between steps, so the engine is quiesced by construction (filter
+    /// logs drain through the ordinary pop path).
     fn after_arch_step(&mut self) {
         if let Some(rp) = &self.replay {
             if self.events_processed >= rp.cut_events {
@@ -2584,10 +2125,6 @@ impl Backend {
     /// Serializes the outcome stream plus a hierarchy snapshot and
     /// atomically replaces the checkpoint file (write to `.tmp`, rename).
     fn write_cut(&mut self) {
-        debug_assert!(
-            self.flying.is_empty() && self.staged.is_none(),
-            "checkpoint cut over a live shard window"
-        );
         let mut w = compass_snap::Writer::new();
         self.hierarchy.encode_snapshot(&mut w);
         let snapshot = w.into_bytes();

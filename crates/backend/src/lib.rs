@@ -27,10 +27,9 @@
 //!   data behind Table 1);
 //! * [`engine`] — the scan/take/simulate/reply loop with the
 //!   least-execution-time pickup rule and its serialized ("uniprocessor
-//!   host") and pipelined ("SMP host") modes;
-//! * `shard` — worker threads that run node-private memory accesses when
-//!   `BackendConfig::workers > 1`, bit-identical to the single-threaded
-//!   engine by construction.
+//!   host") and pipelined ("SMP host") modes.
+
+#![forbid(unsafe_code)]
 
 pub mod ckpt;
 pub mod config;
@@ -39,7 +38,6 @@ pub mod engine;
 pub mod error;
 pub mod locks;
 pub mod sched;
-pub(crate) mod shard;
 pub mod stats;
 pub mod tasks;
 pub mod trace;

@@ -1,30 +1,27 @@
 //! **OS-server wall report** (`BENCH_http.json`) — httplite throughput
-//! with the OS-port batched, kernel references filtered, the bottom-half
-//! daemon on the event-driven disk path, and the scaled keep-alive
-//! client model, against the classic per-event protocol.
+//! with the OS-port batched, the bottom-half daemon on the event-driven
+//! disk path, and the scaled keep-alive client model, against the
+//! classic per-event protocol.
 //!
 //! The OS-server wall: web serving is ~85% kernel time (§4.2), so after
-//! the frontend's own batching/filtering (PR 1, PR 5) every remaining
-//! rendezvous belongs to *kernel* memory references — the syscall path
-//! and the interrupt handlers. This report measures what batching +
-//! filtering + the event-driven device path buy, as host
-//! events/second, and records the simulated service quality of the
-//! scaled client model (requests per simulated second, p99 simulated
-//! request latency on the paper's 133 MHz target).
+//! the frontend's own batching/filtering every remaining rendezvous
+//! belongs to *kernel* memory references — the syscall path and the
+//! interrupt handlers. This report measures what OS-port batching + the
+//! event-driven device path buy, as host events/second, and records the
+//! simulated service quality of the scaled client model (requests per
+//! simulated second, p99 simulated request latency on the paper's
+//! 133 MHz target).
 //!
 //! Modes:
 //! * (no args) — the full sweep, JSON on stdout (redirect to
 //!   `BENCH_http.json`); includes the db2lite disk-path row and the
 //!   10k-connection streaming-player row;
 //! * `--short` — a quick CI-sized sweep, same JSON shape;
-//! * `--profile-mirrors` — kernel-mirror maintenance profile: events/s
-//!   with the kernel filter off vs on, plus the filtered-reference and
-//!   deferred-refresh counters that show what the mirrors cost and save;
-//! * `--smoke` — CI gate: (a) bit-identity — the batched + filtered +
-//!   disk-wake run must reproduce the baseline `BackendStats` exactly
-//!   (and across shard workers); (b) regression — the measured
-//!   events/s speedup must stay within 20% of the committed
-//!   `BENCH_http.json` baseline. Exits nonzero on either failure.
+//! * `--smoke` — CI gate: (a) bit-identity — the default and tuned runs
+//!   must reproduce the baseline `BackendStats` exactly; (b) regression
+//!   — the median events/s speedup over 5 BASELINE/TUNED pairs must stay
+//!   within 20% of the committed `BENCH_http.json` baseline. Exits
+//!   nonzero on either failure.
 
 use compass::runner::RunReport;
 use compass::{ArchConfig, SimBuilder};
@@ -44,9 +41,7 @@ struct Knobs {
     batch_depth: usize,
     filter: bool,
     kernel_batch_depth: usize,
-    kernel_filter: bool,
     disk_wake: bool,
-    workers: usize,
 }
 
 const BASELINE: Knobs = Knobs {
@@ -57,9 +52,7 @@ const BASELINE: Knobs = Knobs {
     batch_depth: 8,
     filter: false,
     kernel_batch_depth: 1,
-    kernel_filter: false,
     disk_wake: false,
-    workers: 1,
 };
 
 /// `SimConfig::new` as shipped: the row the casual `b.run()` user gets.
@@ -68,19 +61,17 @@ const DEFAULTS: Knobs = Knobs {
     batch_depth: 8,
     filter: false,
     kernel_batch_depth: 8,
-    kernel_filter: false,
     disk_wake: true,
-    workers: 1,
 };
 
+/// Every transport knob at its fastest: deep frontend and OS-port
+/// batching, frontend reference filtering, the event-driven disk path.
 const TUNED: Knobs = Knobs {
     label: "batched+filtered",
     batch_depth: 64,
     filter: true,
     kernel_batch_depth: 64,
-    kernel_filter: true,
     disk_wake: true,
-    workers: 1,
 };
 
 /// Workload scale.
@@ -100,10 +91,8 @@ struct Outcome {
 fn apply_knobs(c: &mut compass::SimConfig, k: Knobs, obs_counters: bool) {
     c.backend.deadlock_ms = 60_000;
     c.backend.batch_depth = k.batch_depth;
-    c.backend.workers = k.workers;
     c.filter = k.filter;
     c.kernel_batch_depth = k.kernel_batch_depth;
-    c.kernel_filter = k.kernel_filter;
     c.disk_wake = k.disk_wake;
     c.obs.counters = obs_counters;
 }
@@ -268,17 +257,14 @@ fn speedup_of(rows: &[Row]) -> f64 {
 fn row_json(r: &Row) -> String {
     format!(
         "    {{\"label\": \"{}\", \"batch_depth\": {}, \"filter\": {}, \
-         \"kernel_batch_depth\": {}, \"kernel_filter\": {}, \"disk_wake\": {}, \
-         \"workers\": {}, \
+         \"kernel_batch_depth\": {}, \"disk_wake\": {}, \
          \"events_per_sec\": {:.0}, \"sim_requests_per_sec\": {:.1}, \
          \"p99_latency_cycles\": {}, \"p99_latency_ms\": {:.3}, \"wall_s\": {:.3}}}",
         r.label,
         r.knobs.batch_depth,
         r.knobs.filter,
         r.knobs.kernel_batch_depth,
-        r.knobs.kernel_filter,
         r.knobs.disk_wake,
-        r.knobs.workers,
         r.events_per_sec,
         r.sim_requests_per_sec,
         r.p99_latency_cycles,
@@ -318,6 +304,28 @@ fn committed_speedup(path: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Median events/s speedup of TUNED over BASELINE across `pairs` pairs,
+/// alternating which of the two runs first so neither always gets the
+/// warmer (or the more contended) slot.
+fn median_speedup(scale: Scale, pairs: usize) -> f64 {
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            let (base, tuned) = if i % 2 == 0 {
+                let b = measure(scale, BASELINE);
+                (b, measure(scale, TUNED))
+            } else {
+                let t = measure(scale, TUNED);
+                (measure(scale, BASELINE), t)
+            };
+            let r = tuned.events_per_sec / base.events_per_sec;
+            eprintln!("  pair {i}: {r:.2}x");
+            r
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 /// CI gate: bit-identity across every throughput knob, then a throughput
 /// regression check against the committed baseline.
 fn smoke() -> i32 {
@@ -329,15 +337,7 @@ fn smoke() -> i32 {
     let base = run_http(scale, BASELINE, false);
     let base_stats = format!("{:#?}", base.report.backend);
     let mut failures = 0;
-    for k in [
-        DEFAULTS,
-        TUNED,
-        Knobs {
-            label: "batched+filtered+sharded",
-            workers: 4,
-            ..TUNED
-        },
-    ] {
+    for k in [DEFAULTS, TUNED] {
         let got = run_http(scale, k, false);
         if format!("{:#?}", got.report.backend) != base_stats {
             eprintln!("FAIL: BackendStats diverged under {}", k.label);
@@ -357,15 +357,17 @@ fn smoke() -> i32 {
     }
     if failures == 0 {
         eprintln!(
-            "ok: httplite BackendStats bit-identical across OS-port batching, \
-             kernel filtering, disk-wake, and shard workers ({} requests, {} conns)",
+            "ok: httplite BackendStats bit-identical across frontend and OS-port \
+             batching, reference filtering and disk-wake ({} requests, {} conns)",
             base.seen.completed, base.report.net.conns
         );
     }
 
     // Regression gate: the speedup the committed BENCH_http.json records
     // must still be there, within 20%. Speedup (a same-host ratio)
-    // transfers across machines; absolute events/s does not.
+    // transfers across machines; absolute events/s does not. One pair
+    // is at the mercy of whatever else the host runs, so the gate takes
+    // the median of 5.
     let baseline_path =
         std::env::var("BENCH_HTTP_BASELINE").unwrap_or_else(|_| "BENCH_http.json".into());
     match committed_speedup(&baseline_path) {
@@ -376,18 +378,17 @@ fn smoke() -> i32 {
                 server_procs: 2,
             };
             // The bit-identity runs above double as warmup.
-            let rows = [measure(scale, BASELINE), measure(scale, TUNED)];
-            let got = speedup_of(&rows);
+            let got = median_speedup(scale, 5);
             if got < committed * 0.8 {
                 eprintln!(
-                    "FAIL: events/s speedup regressed: measured {got:.2}x, \
+                    "FAIL: events/s speedup regressed: median of 5 pairs {got:.2}x, \
                      committed {committed:.2}x (tolerance 20%)"
                 );
                 failures += 1;
             } else {
                 eprintln!(
-                    "ok: events/s speedup {got:.2}x vs committed {committed:.2}x \
-                     (tolerance 20%)"
+                    "ok: events/s speedup median of 5 pairs {got:.2}x vs committed \
+                     {committed:.2}x (tolerance 20%)"
                 );
             }
         }
@@ -399,57 +400,11 @@ fn smoke() -> i32 {
     failures
 }
 
-/// Kernel-mirror maintenance profile: what reference filtering costs
-/// (mirror upkeep) and saves (rendezvous eliminated), with the
-/// deferred-refresh counter showing how rarely the lazy epoch clear
-/// actually runs.
-fn profile_mirrors() -> i32 {
-    let scale = Scale {
-        requests: 120,
-        clients: 12,
-        server_procs: 2,
-    };
-    println!("{{");
-    println!("  \"bench\": \"http_mirror_profile\",");
-    println!("  \"rows\": [");
-    let mut entries = Vec::new();
-    for (label, kernel_filter) in [("filter-off", false), ("filter-on", true)] {
-        let k = Knobs {
-            label,
-            kernel_filter,
-            ..TUNED
-        };
-        let o = run_http(scale, k, true);
-        let obs = o.report.obs.as_ref().expect("counters enabled");
-        let wall = o.report.wall.as_secs_f64().max(1e-9);
-        let eps = o.report.backend.events as f64 / wall;
-        eprintln!(
-            "{label:<11} {eps:>12.0} events/s  refs_filtered {:>9}  mirror_refreshes {:>6}  mispredicts {:>6}",
-            obs.counter("kernel_refs_filtered"),
-            obs.counter("kernel_mirror_refreshes"),
-            obs.counter("filter_mispredicts"),
-        );
-        entries.push(format!(
-            "    {{\"label\": \"{label}\", \"events_per_sec\": {eps:.0}, \
-             \"kernel_refs_filtered\": {}, \"kernel_mirror_refreshes\": {}, \
-             \"filter_mispredicts\": {}, \"wall_s\": {wall:.3}}}",
-            obs.counter("kernel_refs_filtered"),
-            obs.counter("kernel_mirror_refreshes"),
-            obs.counter("filter_mispredicts"),
-        ));
-    }
-    println!("{}", entries.join(",\n"));
-    println!("  ]");
-    println!("}}");
-    0
-}
-
 fn main() {
     let timing = TimingModel::powerpc_604();
     let arg = std::env::args().nth(1);
     match arg.as_deref() {
         Some("--smoke") => std::process::exit(smoke()),
-        Some("--profile-mirrors") => std::process::exit(profile_mirrors()),
         Some("--short") => {
             let scale = Scale {
                 requests: 120,
@@ -492,11 +447,6 @@ fn main() {
                 },
                 DEFAULTS,
                 TUNED,
-                Knobs {
-                    label: "batched+filtered+sharded",
-                    workers: 4,
-                    ..TUNED
-                },
             ] {
                 let r = measure(scale, k);
                 eprintln!(

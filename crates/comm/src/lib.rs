@@ -33,7 +33,6 @@ pub mod event;
 pub mod notifier;
 pub mod port;
 pub mod rendezvous;
-pub mod shard_ring;
 
 pub use cpu_states::{CpuStates, IrqSource};
 pub use devshared::{DevShared, DiskCompletion, Frame, FrameKind, TimerTick};
@@ -44,4 +43,3 @@ pub use event::{
 pub use notifier::Notifier;
 pub use port::{EventPort, ReqPort, DEFAULT_RING_CAPACITY};
 pub use rendezvous::EventRing;
-pub use shard_ring::{shard_ring, ShardReceiver, ShardSender};

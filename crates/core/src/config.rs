@@ -37,11 +37,6 @@ pub struct SimConfig {
     /// Ignored when `pseudo_irq` is on (interrupt work must stay on the
     /// per-event protocol).
     pub kernel_batch_depth: usize,
-    /// Kernel-side reference filtering: each OS thread mirrors its
-    /// companion CPU's L1/TLB and keeps predicted kernel hits local,
-    /// logging them for authoritative backend replay. Bit-identical
-    /// backend results either way; ignored when `pseudo_irq` is on.
-    pub kernel_filter: bool,
     /// Event-driven disk path (ISSUE 9): the bottom-half daemon's
     /// interrupt handlers ride the batched-event protocol (depth =
     /// `kernel_batch_depth`), settling latencies through the port credit
@@ -73,7 +68,6 @@ impl SimConfig {
             sample_period: 1,
             filter: false,
             kernel_batch_depth: 8,
-            kernel_filter: false,
             disk_wake: true,
             obs: ObsConfig::default(),
         }
@@ -96,21 +90,11 @@ impl SimConfig {
             self.sample_period,
             self.filter,
             self.kernel_batch_depth,
-            self.kernel_filter,
             self.disk_wake,
         );
         compass_snap::fnv1a64(
             format!("{:016x}|{transport:?}", self.backend.config_hash()).as_bytes(),
         )
-    }
-
-    /// Sets the backend worker-thread count (see
-    /// `BackendConfig::workers`): 1 is the classic single-threaded
-    /// engine; N > 1 shards node-private memory accesses across N - 1
-    /// worker threads with bit-identical results.
-    pub fn backend_workers(mut self, n: usize) -> Self {
-        self.backend.workers = n;
-        self
     }
 
     /// Validates cross-component consistency. Nonsensical knob
@@ -132,7 +116,7 @@ impl SimConfig {
         if self.sample_period == 0 {
             return Err("sample_period must be >= 1 (1 = every reference)".into());
         }
-        // `filter`/`kernel_filter` are documented as ignored under
+        // `filter` is documented as ignored under
         // pseudo-IRQ delivery (the per-reply flag check would be
         // skipped); asking for both explicitly is a contradiction, not a
         // default, so refuse it outright. `kernel_batch_depth > 1` and
@@ -141,11 +125,6 @@ impl SimConfig {
         if self.pseudo_irq && self.filter {
             return Err("filter is incompatible with pseudo_irq (replies carry \
                  the IRQ flag the filter would skip); disable one"
-                .into());
-        }
-        if self.pseudo_irq && self.kernel_filter {
-            return Err("kernel_filter is incompatible with pseudo_irq (interrupt \
-                 work must see authoritative replies); disable one"
                 .into());
         }
         Ok(())
@@ -205,9 +184,6 @@ mod tests {
         // Defaults (batch depth 8, disk_wake on) are warn-and-ignore.
         c.validate().unwrap();
         c.filter = true;
-        assert!(c.validate().is_err());
-        c.filter = false;
-        c.kernel_filter = true;
         assert!(c.validate().is_err());
     }
 }

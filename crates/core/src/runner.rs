@@ -137,10 +137,10 @@ impl SimBuilder {
     }
 
     /// Checkpoints the deterministic simulation state to `path` every
-    /// `every` serviced events, at quiesced window boundaries (shard
-    /// workers drained, rings empty, filter logs flushed). The file is
-    /// atomically overwritten at each cut — the latest cut wins. Resume
-    /// it with [`SimBuilder::resume`].
+    /// `every` serviced events, at quiesced boundaries between engine
+    /// steps (filter logs drained through the ordinary pop path). The
+    /// file is atomically overwritten at each cut — the latest cut wins.
+    /// Resume it with [`SimBuilder::resume`].
     pub fn checkpoint_every(mut self, every: u64, path: impl Into<PathBuf>) -> Self {
         assert!(every > 0, "checkpoint interval must be positive");
         self.ckpt_every = Some((every, path.into()));
@@ -153,8 +153,8 @@ impl SimBuilder {
     /// (the resume-identity oracle); at the recorded cut the hierarchy
     /// snapshot is swapped in and the run continues fully live —
     /// bit-identical `BackendStats` to the recording run. Transport knobs
-    /// (`backend_workers`, batch depths, reference filters) may differ
-    /// between the two runs; the architecture configuration must match.
+    /// (batch depths, the reference filter) may differ between the two
+    /// runs; the architecture configuration must match.
     pub fn resume(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
         self
@@ -197,7 +197,7 @@ impl SimBuilder {
     /// all simulated threads unwind cleanly before this returns.
     pub fn try_run(self) -> Result<RunReport, RunError> {
         let SimBuilder {
-            mut config,
+            config,
             processes,
             traffic,
             prepare,
@@ -211,22 +211,6 @@ impl SimBuilder {
             ckpt_every.is_none() || resume_from.is_none(),
             "checkpoint recording and resume are mutually exclusive in one run"
         );
-        // More engine threads than host cores only adds scheduling churn
-        // (results are bit-identical at any worker count, so clamping is
-        // safe). `workers` counts the coordinator: N > 1 means N - 1
-        // shard threads beside it.
-        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if config.backend.workers > host_cores.max(1) {
-            static CLAMP_WARNED: std::sync::Once = std::sync::Once::new();
-            let (want, got) = (config.backend.workers, host_cores.max(1));
-            CLAMP_WARNED.call_once(|| {
-                eprintln!(
-                    "compass: clamping backend_workers {want} to available parallelism {got} \
-                     (results are identical at any worker count; warning shown once)"
-                );
-            });
-            config.backend.workers = got;
-        }
         config.validate().expect("invalid simulation configuration");
         let nprocs = processes.len();
         assert!(nprocs > 0, "no processes to simulate");
@@ -279,24 +263,13 @@ impl SimBuilder {
             counters: os_block.clone(),
             trace: trace.clone(),
         };
-        // Kernel-side batching/filtering (ISSUE 6): syscall-path only, so
-        // it is disabled wholesale under pseudo-IRQ delivery — interrupt
-        // handlers must see the authoritative clock and reply flags.
-        let kernel_perf = (!config.pseudo_irq
-            && (config.kernel_batch_depth > 1 || config.kernel_filter))
-            .then(|| compass_os::KernelPerfSetup {
-                batch_depth: config.kernel_batch_depth,
-                filter: config
-                    .kernel_filter
-                    .then_some(compass_os::KernelFilterConfig {
-                        l1: config.backend.arch.l1,
-                        hit_lat: config.backend.arch.lat.l1_hit,
-                        tlb_entries: config.backend.tlb_entries,
-                        tlb_assoc: config.backend.tlb_assoc,
-                    }),
-                cpu_states: Arc::clone(&cpu_states),
-                counters: os_block.clone(),
-            });
+        // Kernel-side batching: syscall-path only, so it is disabled
+        // wholesale under pseudo-IRQ delivery — interrupt handlers must
+        // see the authoritative clock and reply flags.
+        let perf = compass_os::KernelPerfSetup {
+            batch_depth: config.kernel_batch_depth,
+        };
+        let kernel_perf = (!config.pseudo_irq && config.kernel_batch_depth > 1).then_some(perf);
         let os_server =
             OsServer::start_with_perf(Arc::clone(&kernel), os_threads, os_obs, kernel_perf);
         // Event-driven disk path (ISSUE 9): the bottom-half daemon gets a
@@ -305,12 +278,7 @@ impl SimBuilder {
         // the same reason as the syscall-path perf above, and pointless
         // at depth 1.
         let daemon_perf = (!config.pseudo_irq && config.disk_wake && config.kernel_batch_depth > 1)
-            .then(|| compass_os::KernelPerfSetup {
-                batch_depth: config.kernel_batch_depth,
-                filter: None,
-                cpu_states: Arc::clone(&cpu_states),
-                counters: os_block.clone(),
-            });
+            .then_some(perf);
         let daemon_handle = os_server.start_daemon_with_perf(
             daemon_pid,
             Arc::clone(&ports[daemon_pid.index()]),
@@ -356,8 +324,8 @@ impl SimBuilder {
             backend.set_counters(Arc::clone(block));
         }
         if let Some(block) = &os_block {
-            // Progress snapshots surface the OS-side batching/filtering
-            // counters alongside the backend's own.
+            // Progress snapshots surface the OS-side batching counter
+            // alongside the backend's own.
             backend.set_os_counters(Arc::clone(block));
         }
         if let Some(t) = &trace {

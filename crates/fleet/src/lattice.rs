@@ -37,12 +37,8 @@ pub enum Knob {
     Depth(usize),
     /// Frontend reference filtering.
     Filter(bool),
-    /// Backend shard workers.
-    Workers(usize),
     /// Kernel-side OS-port batch depth.
     OsBatch(usize),
-    /// Kernel reference filtering.
-    KernelFilter(bool),
     /// Event-driven disk path.
     DiskWake(bool),
     /// Checkpoint gate: record with cuts, resume, require bit-identical
@@ -61,9 +57,7 @@ impl Knob {
             Knob::Preempt(_) => "preempt",
             Knob::Depth(_) => "depth",
             Knob::Filter(_) => "filter",
-            Knob::Workers(_) => "workers",
             Knob::OsBatch(_) => "os_batch",
-            Knob::KernelFilter(_) => "kernel_filter",
             Knob::DiskWake(_) => "disk_wake",
             Knob::Ckpt(_) => "ckpt",
         }
@@ -76,12 +70,10 @@ impl Knob {
             Knob::Geometry(v) => format!("{v:?}"),
             Knob::Sched(v) => format!("{v:?}"),
             Knob::Placement(v) => format!("{v:?}"),
-            Knob::Preempt(v)
-            | Knob::Filter(v)
-            | Knob::KernelFilter(v)
-            | Knob::DiskWake(v)
-            | Knob::Ckpt(v) => format!("{v}"),
-            Knob::Depth(v) | Knob::Workers(v) | Knob::OsBatch(v) => format!("{v}"),
+            Knob::Preempt(v) | Knob::Filter(v) | Knob::DiskWake(v) | Knob::Ckpt(v) => {
+                format!("{v}")
+            }
+            Knob::Depth(v) | Knob::OsBatch(v) => format!("{v}"),
         }
     }
 
@@ -92,13 +84,7 @@ impl Knob {
     pub fn stats_neutral(&self) -> bool {
         matches!(
             self,
-            Knob::Depth(_)
-                | Knob::Filter(_)
-                | Knob::Workers(_)
-                | Knob::OsBatch(_)
-                | Knob::KernelFilter(_)
-                | Knob::DiskWake(_)
-                | Knob::Ckpt(_)
+            Knob::Depth(_) | Knob::Filter(_) | Knob::OsBatch(_) | Knob::DiskWake(_) | Knob::Ckpt(_)
         )
     }
 
@@ -112,9 +98,7 @@ impl Knob {
             Knob::Preempt(v) => p.scenario.preempt = v,
             Knob::Depth(v) => p.depth = v,
             Knob::Filter(v) => p.scenario.filter = v,
-            Knob::Workers(v) => p.scenario.workers = v,
             Knob::OsBatch(v) => p.scenario.os_batch = v,
-            Knob::KernelFilter(v) => p.scenario.kernel_filter = v,
             Knob::DiskWake(v) => p.scenario.disk_wake = v,
             Knob::Ckpt(v) => p.scenario.ckpt = v,
         }
@@ -176,16 +160,14 @@ impl FleetPoint {
     pub fn label(&self, workload: &str) -> String {
         let sc = &self.scenario;
         format!(
-            "{workload} {:?}/{:?} sched={:?} place={:?} d{} f{} w{} ob{} kf{} dw{} ck{}",
+            "{workload} {:?}/{:?} sched={:?} place={:?} d{} f{} ob{} dw{} ck{}",
             sc.preset,
             sc.geometry,
             sc.sched,
             sc.placement,
             self.depth,
             sc.filter as u8,
-            sc.workers,
             sc.os_batch,
-            sc.kernel_filter as u8,
             sc.disk_wake as u8,
             sc.ckpt as u8,
         )

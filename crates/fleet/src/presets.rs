@@ -21,13 +21,10 @@ pub fn smoke() -> Vec<Lattice> {
         Lattice::new("sci_small", sc::sci_small())
             .axis(&[Depth(1), Depth(16)])
             .axis(&[Filter(false), Filter(true)]),
-        // Same workload, different sub-sweep: its baseline (depth 1,
-        // workers 1) is the lattice above's baseline — one run, twice
+        Lattice::new("chaos_small", sc::chaos_small()).axis(&[OsBatch(1), OsBatch(8)]),
+        // Same workload, different sub-sweep: its baseline (OS batch 1,
+        // disk wake on) is the lattice above's baseline — one run, twice
         // referenced.
-        Lattice::new("sci_small", sc::sci_small()).axis(&[Workers(1), Workers(2)]),
-        Lattice::new("chaos_small", sc::chaos_small())
-            .axis(&[OsBatch(1), OsBatch(8)])
-            .axis(&[KernelFilter(false), KernelFilter(true)]),
         Lattice::new("chaos_small", sc::chaos_small()).axis(&[DiskWake(true), DiskWake(false)]),
         Lattice::new("tpcc_small", sc::tpcc_small()).axis(&[Ckpt(false), Ckpt(true)]),
         Lattice::new("http_small", sc::http_small()).axis(&[Depth(1), Depth(16)]),
@@ -45,24 +42,11 @@ pub fn comm() -> Vec<Lattice> {
     ])]
 }
 
-/// Folds `report_filter`: frontend filtering on/off crossed with depth,
-/// plus the kernel-side filter as its own sub-sweep.
+/// Folds `report_filter`: frontend filtering on/off crossed with depth.
 pub fn filter() -> Vec<Lattice> {
-    vec![
-        Lattice::new("chaos_small", sc::chaos_small())
-            .axis(&[Filter(false), Filter(true)])
-            .axis(&[Depth(1), Depth(16)]),
-        Lattice::new("chaos_small", sc::chaos_small())
-            .axis(&[KernelFilter(false), KernelFilter(true)]),
-    ]
-}
-
-/// Folds `report_shard`: backend shard workers at a fixed deep batch
-/// (the single-value depth axis pins it above baseline).
-pub fn shard() -> Vec<Lattice> {
-    vec![Lattice::new("sci_dense", sc::sci_dense())
-        .axis(&[Depth(16)])
-        .axis(&[Workers(1), Workers(2), Workers(4)])]
+    vec![Lattice::new("chaos_small", sc::chaos_small())
+        .axis(&[Filter(false), Filter(true)])
+        .axis(&[Depth(1), Depth(16)])]
 }
 
 /// Folds `report_http`'s transport half: depth crossed with the OS-port
@@ -111,7 +95,6 @@ pub fn all() -> Vec<(&'static str, Vec<Lattice>)> {
         ("smoke", smoke()),
         ("comm", comm()),
         ("filter", filter()),
-        ("shard", shard()),
         ("http", http()),
         ("ckpt", ckpt()),
         ("explore", explore()),
@@ -146,9 +129,9 @@ mod tests {
     #[test]
     fn smoke_shares_baselines_across_sub_sweeps() {
         let (points, jobs) = expand_preset(&smoke());
-        // sci_small's workers sub-sweep and chaos_small's disk-wake
-        // sub-sweep each share a baseline with their sibling lattice.
-        assert_eq!(points - jobs.len(), 2, "expected exactly 2 deduped points");
+        // chaos_small's disk-wake sub-sweep shares its baseline with its
+        // sibling lattice.
+        assert_eq!(points - jobs.len(), 1, "expected exactly 1 deduped point");
     }
 
     #[test]

@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 /// The fixed counter catalogue. The numeric value is the slot index in a
 /// [`CounterBlock`]; the catalogue is append-only so exported reports
-/// stay comparable across versions.
+/// stay comparable across versions. A counter whose mechanism is deleted
+/// is retired, not renumbered: its slot stays reserved (see
+/// [`RETIRED`]) and the next survivor carries an explicit index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Ctr {
@@ -91,25 +93,13 @@ pub enum Ctr {
     /// Blocking posts answered during the bounded reply spin, avoiding a
     /// full thread park.
     RingSpinsAvoidedPark,
-    /// Memory references classified node-private and run on a shard
-    /// worker (`BackendConfig::workers > 1`).
-    ShardPrivateJobs,
-    /// Engine steps that stalled on the shard window: the least candidate
-    /// was at or above an in-flight floor, or was a device task.
-    ShardStalls,
-    /// Events that had to wait for the in-flight window to drain before
-    /// running globally on the engine thread.
-    ShardStagedEvents,
     /// Syscall replies that aggregated work instead of round-tripping per
     /// event: each `DoneBatch` result beyond the first, plus each `Done`
     /// whose kernel context left batched events for credit to settle.
-    OsBatchedReplies,
-    /// Kernel memory references resolved by the OS-side L1/TLB mirror
-    /// (charged the fixed L1-hit latency without a port rendezvous).
-    KernelRefsFiltered,
+    OsBatchedReplies = 36,
     /// Device completion wake events scheduled (disk completions and
     /// network deliveries entered into the engine's task heap).
-    DeviceWakeEvents,
+    DeviceWakeEvents = 38,
     /// Interval-timer polls skipped because the target CPU was idle (the
     /// tick disarms instead of rescheduling).
     DevicePollsEliminated,
@@ -120,19 +110,29 @@ pub enum Ctr {
     /// passes) the postbox due-time summary answered without a lock
     /// acquisition or queue scan.
     DiskPollsEliminated,
-    /// Wholesale kernel-mirror clears actually executed. Epoch bumps set
-    /// a deferred-refresh flag instead of clearing; the clear runs only
-    /// when stale contents would otherwise predict a hit, so consecutive
-    /// bumps between kernel references coalesce into at most one clear.
-    KernelMirrorRefreshes,
+    // Slot 42 is retired: the next counter appended here needs `= 43`.
 }
 
-/// Number of counters in the catalogue.
-pub const CTR_COUNT: usize = Ctr::KernelMirrorRefreshes as usize + 1;
+/// Slots of retired counters, as `(slot, former name)`. They stay
+/// reserved so no surviving counter is renumbered; nothing increments,
+/// reports or exports them. Slots 33–35 counted the sharded backend's
+/// window protocol, 37 and 42 the kernel reference filter — both
+/// mechanisms are deleted (see DESIGN.md, "Removed mechanisms").
+pub const RETIRED: [(usize, &str); 5] = [
+    (33, "shard_private_jobs"),
+    (34, "shard_stalls"),
+    (35, "shard_staged_events"),
+    (37, "kernel_refs_filtered"),
+    (42, "kernel_mirror_refreshes"),
+];
+
+/// Number of slots in a [`CounterBlock`]: every live counter plus the
+/// retired slots, so the catalogue never shrinks.
+pub const CTR_COUNT: usize = Ctr::ALL.len() + RETIRED.len();
 
 impl Ctr {
-    /// Every counter, in slot order.
-    pub const ALL: [Ctr; CTR_COUNT] = [
+    /// Every live counter, in slot order.
+    pub const ALL: [Ctr; 38] = [
         Ctr::EventsMemRef,
         Ctr::EventsSync,
         Ctr::EventsDev,
@@ -166,16 +166,11 @@ impl Ctr {
         Ctr::FilterFlushes,
         Ctr::FilterMispredicts,
         Ctr::RingSpinsAvoidedPark,
-        Ctr::ShardPrivateJobs,
-        Ctr::ShardStalls,
-        Ctr::ShardStagedEvents,
         Ctr::OsBatchedReplies,
-        Ctr::KernelRefsFiltered,
         Ctr::DeviceWakeEvents,
         Ctr::DevicePollsEliminated,
         Ctr::DiskWakeEvents,
         Ctr::DiskPollsEliminated,
-        Ctr::KernelMirrorRefreshes,
     ];
 
     /// True for counters that measure the *host* transport mechanics
@@ -256,16 +251,11 @@ impl Ctr {
             Ctr::FilterFlushes => "filter_flushes",
             Ctr::FilterMispredicts => "filter_mispredicts",
             Ctr::RingSpinsAvoidedPark => "ring_spins_avoided_park",
-            Ctr::ShardPrivateJobs => "shard_private_jobs",
-            Ctr::ShardStalls => "shard_stalls",
-            Ctr::ShardStagedEvents => "shard_staged_events",
             Ctr::OsBatchedReplies => "os_batched_replies",
-            Ctr::KernelRefsFiltered => "kernel_refs_filtered",
             Ctr::DeviceWakeEvents => "device_wake_events",
             Ctr::DevicePollsEliminated => "device_polls_eliminated",
             Ctr::DiskWakeEvents => "disk_wake_events",
             Ctr::DiskPollsEliminated => "disk_polls_eliminated",
-            Ctr::KernelMirrorRefreshes => "kernel_mirror_refreshes",
         }
     }
 }
@@ -320,7 +310,7 @@ impl CounterSnapshot {
         self.totals[c as usize]
     }
 
-    /// Every counter with its stable name, in catalogue order.
+    /// Every live counter with its stable name, in catalogue order.
     pub fn all(&self) -> Vec<(&'static str, u64)> {
         Ctr::ALL.iter().map(|c| (c.name(), self.get(*c))).collect()
     }
@@ -367,13 +357,102 @@ mod tests {
 
     #[test]
     fn catalogue_is_consistent() {
-        for (i, c) in Ctr::ALL.iter().enumerate() {
-            assert_eq!(*c as usize, i, "slot order mismatch for {c:?}");
+        // Every slot is exactly one live counter or one retired slot.
+        let mut slots: Vec<usize> = Ctr::ALL.iter().map(|&c| c as usize).collect();
+        slots.extend(RETIRED.iter().map(|&(i, _)| i));
+        slots.sort_unstable();
+        assert_eq!(slots, (0..CTR_COUNT).collect::<Vec<_>>());
+        for w in Ctr::ALL.windows(2) {
+            assert!((w[0] as usize) < (w[1] as usize), "ALL out of slot order");
         }
         let mut names: Vec<_> = Ctr::ALL.iter().map(|c| c.name()).collect();
+        names.extend(RETIRED.iter().map(|&(_, n)| n));
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), CTR_COUNT, "duplicate counter name");
+    }
+
+    /// The catalogue as it stood before the sharded backend and the
+    /// kernel reference filter were deleted: `(slot, name)` for every
+    /// counter, in slot order. Consumers read counters by name
+    /// (perfbench, the fleet JSON) or by slot (`CounterBlock`), so a
+    /// survivor must keep both.
+    const HISTORICAL: [(usize, &str); 43] = [
+        (0, "events_memref"),
+        (1, "events_sync"),
+        (2, "events_dev"),
+        (3, "events_ctl"),
+        (4, "sched_dispatches"),
+        (5, "sched_preemptions"),
+        (6, "page_faults"),
+        (7, "tlb_misses"),
+        (8, "dsm_transfers"),
+        (9, "timer_ticks"),
+        (10, "irq_dispatches"),
+        (11, "replies"),
+        (12, "progress_snapshots"),
+        (13, "ring_posts"),
+        (14, "ring_batched"),
+        (15, "ring_notifies"),
+        (16, "ring_stalls"),
+        (17, "ring_aborts"),
+        (18, "port_occ_sum"),
+        (19, "port_occ_samples"),
+        (20, "os_calls"),
+        (21, "os_pseudo_irqs"),
+        (22, "frontend_posts"),
+        (23, "frontend_gen_ns"),
+        (24, "comm_wait_ns"),
+        (25, "backend_active_ns"),
+        (26, "backend_wait_ns"),
+        (27, "trace_dropped"),
+        (28, "refs_filtered"),
+        (29, "epoch_refreshes"),
+        (30, "filter_flushes"),
+        (31, "filter_mispredicts"),
+        (32, "ring_spins_avoided_park"),
+        (33, "shard_private_jobs"),
+        (34, "shard_stalls"),
+        (35, "shard_staged_events"),
+        (36, "os_batched_replies"),
+        (37, "kernel_refs_filtered"),
+        (38, "device_wake_events"),
+        (39, "device_polls_eliminated"),
+        (40, "disk_wake_events"),
+        (41, "disk_polls_eliminated"),
+        (42, "kernel_mirror_refreshes"),
+    ];
+
+    #[test]
+    fn retiring_counters_renumbers_nothing_and_exports_nothing() {
+        assert!(CTR_COUNT >= HISTORICAL.len(), "the catalogue shrank");
+        for &(slot, name) in &HISTORICAL {
+            match Ctr::by_name(name) {
+                Some(c) => assert_eq!(c as usize, slot, "{name} moved"),
+                None => assert!(
+                    RETIRED.contains(&(slot, name)),
+                    "{name} vanished without being retired"
+                ),
+            }
+        }
+        // Retired slots are dead even if something wrote to them: a
+        // snapshot's export lists live counters only.
+        let hub = ObsHub::new();
+        let block = hub.register("x");
+        for c in Ctr::ALL {
+            block.inc(c);
+        }
+        for &(slot, _) in &RETIRED {
+            block.slots[slot].fetch_add(1, Ordering::Relaxed);
+        }
+        let exported = hub.merge().all();
+        assert_eq!(exported.len(), Ctr::ALL.len());
+        for &(_, name) in &RETIRED {
+            assert!(
+                exported.iter().all(|&(n, _)| n != name),
+                "retired {name} exported"
+            );
+        }
     }
 
     #[test]
@@ -406,7 +485,7 @@ mod tests {
         assert_eq!(snap.get(Ctr::EventsMemRef), 4);
         assert_eq!(snap.get(Ctr::RingNotifies), 1);
         assert_eq!(snap.get(Ctr::OsCalls), 0);
-        assert_eq!(snap.all().len(), CTR_COUNT);
+        assert_eq!(snap.all().len(), Ctr::ALL.len());
     }
 
     #[test]

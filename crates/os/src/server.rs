@@ -308,8 +308,8 @@ impl OsServer {
     }
 
     /// Starts `nthreads` OS threads with observability hooks and an
-    /// optional kernel-side performance setup (event batching and
-    /// reference filtering for syscall-path kernel code — ISSUE 6). The
+    /// optional kernel-side performance setup (event batching for
+    /// syscall-path kernel code). The
     /// setup is rebuilt into fresh per-pairing state on every Connect;
     /// pseudo-IRQ delivery never uses it, and the bottom-half daemon has
     /// its own batching-only setup (see [`OsServer::start_daemon_with_perf`]).
@@ -331,11 +331,10 @@ impl OsServer {
             let port = Arc::clone(&slot.port);
             let k = Arc::clone(&kernel);
             let o = obs.clone();
-            let p = perf.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("os-thread-{i}"))
-                    .spawn(move || os_thread_main(port, k, o, p))
+                    .spawn(move || os_thread_main(port, k, o, perf))
                     .expect("spawn OS thread"),
             );
         }
@@ -390,19 +389,15 @@ impl OsServer {
 
     /// Like [`OsServer::start_daemon`], with an optional *batching-only*
     /// perf setup for the daemon's interrupt context (the `disk_wake`
-    /// knob). The setup must not carry a filter config: handler drains
-    /// run `until(kc.clock)` and only the batching protocol's
-    /// settled-at-drain invariant is established for interrupt mode.
+    /// knob). Handler drains run `until(kc.clock)`, which the batching
+    /// protocol's settled-at-drain invariant keeps exact in interrupt
+    /// mode.
     pub fn start_daemon_with_perf(
         &self,
         daemon_pid: ProcessId,
         port: Arc<EventPort>,
         perf: Option<KernelPerfSetup>,
     ) -> JoinHandle<()> {
-        assert!(
-            perf.as_ref().is_none_or(|p| p.filter.is_none()),
-            "daemon perf must be batching-only (no kernel filter)"
-        );
         let k = Arc::clone(&self.kernel);
         std::thread::Builder::new()
             .name("kernel-bottom-half".into())
@@ -443,7 +438,7 @@ fn absorb_abort<R>(f: impl FnOnce() -> R) -> Result<R, Errno> {
 /// One OS thread: waits for pairing, then serves calls until Exit, then
 /// returns to "single".
 ///
-/// `perf` (when configured) batches and filters kernel-mode events for
+/// `perf` (when configured) batches kernel-mode events for
 /// the **syscall path only**: pseudo IRQs and the daemon run interrupt
 /// handlers whose postbox drains depend on the authoritative clock, so
 /// they keep the per-event protocol.
@@ -460,7 +455,7 @@ fn os_thread_main(
             OsMsg::Connect { pid, port: eport } => {
                 debug_assert!(paired.is_none(), "connect to a paired OS thread");
                 paired = Some((pid, eport));
-                // Fresh mirror/TLB/credit state per pairing: a new process
+                // Fresh batching state per pairing: a new process
                 // shares nothing with the previous tenant.
                 perf_state = perf.as_ref().map(KernelPerfSetup::build);
                 port.respond(OsRet::Connected);
@@ -481,7 +476,6 @@ fn os_thread_main(
                     Ok(r) => r,
                     Err(e) => Err(e),
                 };
-                kc.flush_filter_log();
                 let end_clock = kc.clock;
                 if let Some(p) = perf_state.as_mut() {
                     if p.take_batched_any() {
@@ -535,7 +529,6 @@ fn os_thread_main(
                     }
                     results.push(result);
                 }
-                kc.flush_filter_log();
                 let end_clock = kc.clock;
                 let mut coalesced = n.saturating_sub(1);
                 if let Some(p) = perf_state.as_mut() {

@@ -20,42 +20,20 @@ pub struct RunOutput {
     pub trace: Vec<TraceRecord>,
 }
 
-/// Runs `sc` once at the given batch depth. `observe` turns the full
-/// observability stack on (counters, fine tracing, progress snapshots) —
-/// the depth differentials then double as the proof that instrumentation
-/// never perturbs the simulation. `filter` sets frontend reference
-/// filtering for this run (callers pass `sc.filter` or its negation for
-/// the filter differential); `workers` likewise sets the backend
-/// shard-worker count (callers pass `sc.workers` or `1` for the
-/// workers-twin differential); `os_batch`, `kernel_filter` and
-/// `disk_wake` set the kernel-side OS-port batch depth, kernel
-/// reference filtering and the event-driven disk path the same way for
-/// their twins. A deadlock comes back as `Err` so soak runs record and
+/// Runs `sc` once at the given batch depth, under the scenario's own
+/// transport knobs (a twin differential passes a copy with one knob
+/// flipped). `observe` turns the full observability stack on (counters,
+/// fine tracing, progress snapshots) — the depth differentials then
+/// double as the proof that instrumentation never perturbs the
+/// simulation. A deadlock comes back as `Err` so soak runs record and
 /// shrink it instead of dying.
-#[allow(clippy::too_many_arguments)]
 pub fn run_scenario(
     sc: &Scenario,
     depth: usize,
     record: bool,
     observe: bool,
-    filter: bool,
-    workers: usize,
-    os_batch: usize,
-    kernel_filter: bool,
-    disk_wake: bool,
 ) -> Result<RunOutput, RunError> {
-    run_scenario_ckpt(
-        sc,
-        depth,
-        record,
-        observe,
-        filter,
-        workers,
-        os_batch,
-        kernel_filter,
-        disk_wake,
-        CkptMode::Off,
-    )
+    run_scenario_ckpt(sc, depth, record, observe, CkptMode::Off)
 }
 
 /// Checkpoint participation of one run (ISSUE 8).
@@ -79,11 +57,11 @@ pub enum CkptMode<'a> {
 }
 
 /// Applies a scenario's backend/transport knobs (scheduler, placement,
-/// pre-emption, filter, shard workers, OS batch, kernel filter, disk
-/// wake) plus the frontend batch `depth` onto a `SimConfig`. Shared with
-/// the fleet runner (`compass-fleet`), whose lattice points carry their
-/// knob values in the scenario itself — one definition of "how a
-/// scenario configures a run" for both harnesses.
+/// pre-emption, filter, OS batch, disk wake) plus the frontend batch
+/// `depth` onto a `SimConfig`. Shared with the fleet runner
+/// (`compass-fleet`), whose lattice points carry their knob values in
+/// the scenario itself — one definition of "how a scenario configures a
+/// run" for both harnesses.
 pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: usize) {
     cfg.backend.sched = sc.sched;
     cfg.backend.placement = sc.placement;
@@ -98,24 +76,16 @@ pub fn apply_scenario_knobs(cfg: &mut compass::SimConfig, sc: &Scenario, depth: 
         cfg.backend.timer_interval = Some(900_000);
     }
     cfg.filter = sc.filter;
-    cfg.backend.workers = sc.workers;
     cfg.kernel_batch_depth = sc.os_batch;
-    cfg.kernel_filter = sc.kernel_filter;
     cfg.disk_wake = sc.disk_wake;
 }
 
 /// [`run_scenario`] with a checkpoint mode.
-#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_ckpt(
     sc: &Scenario,
     depth: usize,
     record: bool,
     observe: bool,
-    filter: bool,
-    workers: usize,
-    os_batch: usize,
-    kernel_filter: bool,
-    disk_wake: bool,
     ckpt: CkptMode<'_>,
 ) -> Result<RunOutput, RunError> {
     let mut b = sc.builder();
@@ -128,18 +98,8 @@ pub fn run_scenario_ckpt(
         CkptMode::Record { every, path } => b = b.checkpoint_every(every, path),
         CkptMode::Resume { path } => b = b.resume(path),
     }
-    // The caller's overrides (a twin flips exactly one knob) are folded
-    // into a scenario view so knob application has a single definition.
-    let knobs = Scenario {
-        filter,
-        workers,
-        os_batch,
-        kernel_filter,
-        disk_wake,
-        ..*sc
-    };
     let cfg = b.config_mut();
-    apply_scenario_knobs(cfg, &knobs, depth);
+    apply_scenario_knobs(cfg, sc, depth);
     if observe {
         cfg.obs = ObsConfig::full(TraceLevel::Fine);
         cfg.obs.progress_every = Some(10_000);
@@ -220,10 +180,6 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
         filter: !sc.filter,
         ..*sc
     });
-    push(Scenario {
-        workers: if sc.workers == 1 { 2 } else { 1 },
-        ..*sc
-    });
     v
 }
 
@@ -231,9 +187,8 @@ pub fn metamorphic_variants(sc: &Scenario) -> Vec<Scenario> {
 /// failed check (empty = clean).
 ///
 /// Layers: depth-1 baseline with trace recording → oracle replay →
-/// filter-toggled differential → shard-workers-twin differential →
-/// OS-batch-twin, kernel-filter-twin and disk-wake-twin differentials →
-/// depth {4,16,64}
+/// filter-toggled differential → OS-batch-twin and disk-wake-twin
+/// differentials → checkpoint record/resume → depth {4,16,64}
 /// differentials → (timing-independent workloads only) metamorphic knob
 /// variants. The per-step invariant layer runs inside every one of these
 /// when built with `--features check-invariants`.
@@ -254,18 +209,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         Some(path) => CkptMode::Record { every: 500, path },
         None => CkptMode::Off,
     };
-    let base = match run_scenario_ckpt(
-        sc,
-        1,
-        true,
-        true,
-        sc.filter,
-        sc.workers,
-        sc.os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-        base_ckpt,
-    ) {
+    let base = match run_scenario_ckpt(sc, 1, true, true, base_ckpt) {
         Ok(out) => out,
         Err(e) => return vec![format!("depth-1 run deadlocked: {e}")],
     };
@@ -283,139 +227,56 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
     if let Err(e) = oracle::verify_trace(&sc.arch_config(), &base.trace, &base.report.backend.mem) {
         failures.push(format!("oracle(depth 1): {e}"));
     }
-    // Filter differential: a dark depth-1 run with reference filtering
-    // toggled the other way must match the instrumented baseline
-    // statistic for statistic. Depth 1 pins per-event rendezvous, so any
-    // divergence is the filter's alone.
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        !sc.filter,
-        sc.workers,
-        sc.os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-    ) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "filter={} vs filter={}: {d}",
-                    !sc.filter, sc.filter
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("filter-toggled run deadlocked: {e}")),
-    }
-    // Shard-workers differential: every scenario is rerun against its
-    // `workers = 1` twin (or, when it already is single-threaded, a
-    // 4-worker twin) and must match statistic for statistic — the
-    // node-partitioned parallel backend may change host time only.
-    let twin_workers = if sc.workers == 1 { 4 } else { 1 };
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        twin_workers,
-        sc.os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-    ) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "workers={} vs workers={}: {d}",
-                    twin_workers, sc.workers
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("workers-twin run deadlocked: {e}")),
-    }
-    // OS-batch differential: the kernel syscall path replayed on the
-    // classic per-event port (or, when the scenario already is classic,
-    // at depth 64) must match statistic for statistic — the credit-based
-    // aggregate reply may change host time only.
+    // Twin differentials: a dark depth-1 run with one transport knob
+    // toggled must match the instrumented baseline statistic for
+    // statistic. Depth 1 pins per-event rendezvous, so any divergence is
+    // the knob's alone.
+    // * filter — frontend reference filtering the other way;
+    // * os_batch — the kernel syscall path on the classic per-event port
+    //   (or, when the scenario already is classic, at depth 64): the
+    //   credit-based aggregate reply may change host time only;
+    // * disk_wake — wake-driven disk delivery settles the same
+    //   latencies the polled drain charged.
     let twin_os_batch = if sc.os_batch == 1 { 64 } else { 1 };
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        sc.workers,
-        twin_os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-    ) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "os_batch={} vs os_batch={}: {d}",
-                    twin_os_batch, sc.os_batch
-                ));
+    let twins = [
+        (
+            format!("filter={} vs filter={}", !sc.filter, sc.filter),
+            Scenario {
+                filter: !sc.filter,
+                ..*sc
+            },
+        ),
+        (
+            format!("os_batch={twin_os_batch} vs os_batch={}", sc.os_batch),
+            Scenario {
+                os_batch: twin_os_batch,
+                ..*sc
+            },
+        ),
+        (
+            format!("disk_wake={} vs disk_wake={}", !sc.disk_wake, sc.disk_wake),
+            Scenario {
+                disk_wake: !sc.disk_wake,
+                ..*sc
+            },
+        ),
+    ];
+    for (label, twin) in &twins {
+        match run_scenario(twin, 1, false, false) {
+            Ok(run) => {
+                for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
+                    failures.push(format!("{label}: {d}"));
+                }
             }
+            Err(e) => failures.push(format!("{label} twin run deadlocked: {e}")),
         }
-        Err(e) => failures.push(format!("os-batch-twin run deadlocked: {e}")),
-    }
-    // Kernel-filter differential: predicted-hit kernel references charged
-    // locally and replayed through the authoritative path must leave
-    // every backend statistic untouched.
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        sc.workers,
-        sc.os_batch,
-        !sc.kernel_filter,
-        sc.disk_wake,
-    ) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "kernel_filter={} vs kernel_filter={}: {d}",
-                    !sc.kernel_filter, sc.kernel_filter
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("kernel-filter-twin run deadlocked: {e}")),
-    }
-    // Disk-wake differential (ISSUE 9): the event-driven disk completion
-    // path toggled the other way must leave every backend statistic
-    // untouched — wake-driven delivery settles the same latencies the
-    // polled drain charged.
-    match run_scenario(
-        sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        sc.workers,
-        sc.os_batch,
-        sc.kernel_filter,
-        !sc.disk_wake,
-    ) {
-        Ok(run) => {
-            for d in diff::diff_backend_stats(&base.report.backend, &run.report.backend) {
-                failures.push(format!(
-                    "disk_wake={} vs disk_wake={}: {d}",
-                    !sc.disk_wake, sc.disk_wake
-                ));
-            }
-        }
-        Err(e) => failures.push(format!("disk-wake-twin run deadlocked: {e}")),
     }
     // Checkpoint/resume differential (ISSUE 8): record the scenario with
     // `checkpoint_every`, then resume from the latest cut — once under
     // the scenario's own knobs and once under flipped transport knobs
-    // (filter, workers, OS batch, kernel filter, disk wake, batch
-    // depth). All of
-    // them run under the resume-identity oracle and must reproduce the
-    // baseline `BackendStats` bit for bit.
+    // (filter, OS batch, disk wake, batch depth). All of them run under
+    // the resume-identity oracle and must reproduce the baseline
+    // `BackendStats` bit for bit.
     if sc.ckpt {
         let path = std::env::temp_dir().join(format!(
             "compass-simcheck-{}-{:x}.ckpt",
@@ -428,11 +289,6 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
             1,
             false,
             false,
-            sc.filter,
-            sc.workers,
-            sc.os_batch,
-            sc.kernel_filter,
-            sc.disk_wake,
             CkptMode::Record {
                 every: 500,
                 path: &path,
@@ -445,18 +301,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                 // A run shorter than one cut interval writes no file;
                 // there is then nothing to resume.
                 if path.exists() {
-                    match run_scenario_ckpt(
-                        sc,
-                        1,
-                        false,
-                        false,
-                        sc.filter,
-                        sc.workers,
-                        sc.os_batch,
-                        sc.kernel_filter,
-                        sc.disk_wake,
-                        CkptMode::Resume { path: &path },
-                    ) {
+                    match run_scenario_ckpt(sc, 1, false, false, CkptMode::Resume { path: &path }) {
                         Ok(run) => {
                             for d in
                                 diff::diff_backend_stats(&base.report.backend, &run.report.backend)
@@ -466,18 +311,17 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
                         }
                         Err(e) => failures.push(format!("checkpoint-resume run failed: {e}")),
                     }
-                    let twin_workers = if sc.workers == 1 { 4 } else { 1 };
-                    let twin_os_batch = if sc.os_batch == 1 { 64 } else { 1 };
+                    let flipped = Scenario {
+                        filter: !sc.filter,
+                        os_batch: twin_os_batch,
+                        disk_wake: !sc.disk_wake,
+                        ..*sc
+                    };
                     match run_scenario_ckpt(
-                        sc,
+                        &flipped,
                         16,
                         false,
                         false,
-                        !sc.filter,
-                        twin_workers,
-                        twin_os_batch,
-                        !sc.kernel_filter,
-                        !sc.disk_wake,
                         CkptMode::Resume { path: &path },
                     ) {
                         Ok(run) => {
@@ -499,17 +343,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
         let _ = std::fs::remove_file(&path);
     }
     for depth in &DEPTHS[1..] {
-        let run = match run_scenario(
-            sc,
-            *depth,
-            false,
-            false,
-            sc.filter,
-            sc.workers,
-            sc.os_batch,
-            sc.kernel_filter,
-            sc.disk_wake,
-        ) {
+        let run = match run_scenario(sc, *depth, false, false) {
             Ok(out) => out,
             Err(e) => {
                 failures.push(format!("depth {depth} run deadlocked: {e}"));
@@ -523,17 +357,7 @@ pub fn check_scenario_with_soak_ckpt(sc: &Scenario, soak_ckpt: Option<&Path>) ->
     if sc.workload.timing_independent() {
         let sig0 = signature(&base.report);
         for var in metamorphic_variants(sc) {
-            let run = match run_scenario(
-                &var,
-                8,
-                false,
-                false,
-                var.filter,
-                var.workers,
-                var.os_batch,
-                var.kernel_filter,
-                var.disk_wake,
-            ) {
+            let run = match run_scenario(&var, 8, false, false) {
                 Ok(out) => out,
                 Err(e) => {
                     failures.push(format!("metamorphic variant {var:?} deadlocked: {e}"));

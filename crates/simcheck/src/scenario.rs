@@ -112,23 +112,12 @@ pub struct Scenario {
     /// twin, so this axis proves the mirror/replay protocol bit-exact
     /// across the whole scenario space.
     pub filter: bool,
-    /// Backend shard workers (ISSUE 5). Must be results-neutral: the
-    /// check stack diffs every scenario against its `workers = 1` twin,
-    /// so this axis proves the node-partitioned parallel backend
-    /// bit-exact across the whole scenario space.
-    pub workers: usize,
     /// Kernel-side OS-port batch depth (ISSUE 6). Must be
     /// statistics-neutral: the check stack diffs every scenario against
     /// its `os_batch = 1` twin (the classic one-rendezvous-per-event
     /// syscall port), so this axis proves the credit-based
     /// aggregate-reply protocol bit-exact on the kernel path too.
     pub os_batch: usize,
-    /// Kernel reference filtering (ISSUE 6). Must be
-    /// statistics-neutral: the check stack diffs every scenario against
-    /// its toggled twin, so this axis proves the kernel-side L1/TLB
-    /// mirror with its precharge/credit replay protocol bit-exact
-    /// across the whole scenario space.
-    pub kernel_filter: bool,
     /// Checkpoint/resume differential (ISSUE 8). When set, the check
     /// stack records the scenario with `checkpoint_every`, resumes it
     /// (and resumes under flipped transport knobs), and requires
@@ -194,13 +183,14 @@ impl Scenario {
         // Drawn last so adding the axis left every earlier draw (and thus
         // every historical seed's scenario shape) unchanged.
         let filter = rng.gen_bool(0.5);
-        // Drawn after `filter` for the same reason: seeds from before the
-        // shard-worker axis existed still generate the same scenario.
-        let workers = [1usize, 2, 4][rng.gen_range(0..3usize)];
-        // Kernel-path knobs (ISSUE 6), again drawn last so every
+        // Former shard-worker axis: the mechanism is deleted, the draw
+        // stays so every historical seed keeps its scenario shape.
+        let _ = rng.gen_range(0..3usize);
+        // Kernel-path knob, again drawn last so every
         // historical seed keeps its scenario shape.
         let os_batch = [1usize, 8, 64][rng.gen_range(0..3usize)];
-        let kernel_filter = rng.gen_bool(0.5);
+        // Former kernel-filter axis: deleted, draw kept for seed stability.
+        let _ = rng.gen_bool(0.5);
         // Checkpoint axis (ISSUE 8), drawn last for the same reason.
         let ckpt = rng.gen_bool(0.5);
         // Disk-wake axis (ISSUE 9), drawn last — house rule: new axes
@@ -216,9 +206,7 @@ impl Scenario {
             preempt,
             placement,
             filter,
-            workers,
             os_batch,
-            kernel_filter,
             ckpt,
             disk_wake,
         }
@@ -377,21 +365,9 @@ impl Scenario {
                     ..*self
                 });
             }
-            if self.workers > 1 {
-                push(Scenario {
-                    workers: 1,
-                    ..*self
-                });
-            }
             if self.os_batch > 1 {
                 push(Scenario {
                     os_batch: 1,
-                    ..*self
-                });
-            }
-            if self.kernel_filter {
-                push(Scenario {
-                    kernel_filter: false,
                     ..*self
                 });
             }
@@ -622,16 +598,66 @@ mod tests {
         assert!(scenarios.iter().any(|s| s.preempt));
         assert!(scenarios.iter().any(|s| s.filter));
         assert!(scenarios.iter().any(|s| !s.filter));
-        assert!(scenarios.iter().any(|s| s.workers == 1));
-        assert!(scenarios.iter().any(|s| s.workers > 1));
         assert!(scenarios.iter().any(|s| s.os_batch == 1));
         assert!(scenarios.iter().any(|s| s.os_batch > 1));
-        assert!(scenarios.iter().any(|s| s.kernel_filter));
-        assert!(scenarios.iter().any(|s| !s.kernel_filter));
         assert!(scenarios.iter().any(|s| s.ckpt));
         assert!(scenarios.iter().any(|s| !s.ckpt));
         assert!(scenarios.iter().any(|s| s.disk_wake));
         assert!(scenarios.iter().any(|s| !s.disk_wake));
+    }
+
+    /// Seeds 7, 38 and 71 are the known multi-core checkpoint-resume
+    /// failures; their scenarios are pinned field by field as generated
+    /// before the shard-worker and kernel-filter axes were deleted, so
+    /// `simcheck --seed N` keeps reproducing the same runs.
+    #[test]
+    fn historical_seeds_keep_their_scenarios() {
+        let tpcc = |seed, txns, preset, geometry, placement, filter, os_batch| Scenario {
+            seed,
+            workload: Workload::Tpcc { txns },
+            nprocs: 3,
+            preset,
+            geometry,
+            sched: SchedPolicy::Fcfs,
+            preempt: false,
+            placement,
+            filter,
+            os_batch,
+            ckpt: true,
+            disk_wake: false,
+        };
+        let expected = [
+            tpcc(
+                7,
+                4,
+                ArchPreset::SimpleSmp,
+                Geometry::Default,
+                PlacementPolicy::RoundRobin,
+                false,
+                64,
+            ),
+            tpcc(
+                38,
+                3,
+                ArchPreset::SimpleSmp,
+                Geometry::SmallCaches,
+                PlacementPolicy::Block(2),
+                true,
+                1,
+            ),
+            tpcc(
+                71,
+                3,
+                ArchPreset::Coma2x2,
+                Geometry::Default,
+                PlacementPolicy::Block(2),
+                true,
+                1,
+            ),
+        ];
+        for want in expected {
+            assert_eq!(Scenario::from_seed(want.seed), want);
+        }
     }
 
     #[test]

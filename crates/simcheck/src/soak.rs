@@ -127,35 +127,14 @@ pub fn resume_inflight(dir: &Path, seed: u64) -> (bool, Vec<String>) {
     }
     let sc = Scenario::from_seed(seed);
     let mut failures = Vec::new();
-    let resumed = check::run_scenario_ckpt(
-        &sc,
-        1,
-        false,
-        false,
-        sc.filter,
-        sc.workers,
-        sc.os_batch,
-        sc.kernel_filter,
-        sc.disk_wake,
-        CkptMode::Resume { path: &ckpt },
-    );
+    let resumed = check::run_scenario_ckpt(&sc, 1, false, false, CkptMode::Resume { path: &ckpt });
     match resumed {
         Ok(resumed) => {
             // The uninterrupted twin: the same scenario run cold, start
             // to finish. Resume replays the pre-cut stream, swaps the
             // snapshot in, and continues live, so the two must agree on
             // every backend statistic.
-            match check::run_scenario(
-                &sc,
-                1,
-                false,
-                false,
-                sc.filter,
-                sc.workers,
-                sc.os_batch,
-                sc.kernel_filter,
-                sc.disk_wake,
-            ) {
+            match check::run_scenario(&sc, 1, false, false) {
                 Ok(twin) => {
                     for d in diff::diff_backend_stats(&twin.report.backend, &resumed.report.backend)
                     {

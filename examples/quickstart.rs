@@ -9,10 +9,8 @@
 //! Run: `cargo run --release --example quickstart`
 //!
 //! Set `COMPASS_FILTER=1` to turn on frontend reference filtering
-//! (private L1/TLB mirrors, ISSUE 4), and `COMPASS_WORKERS=N` to shard
-//! the backend across N workers (node-partitioned slices, ISSUE 5);
-//! every printed statistic is bit-identical either way — CI diffs the
-//! outputs.
+//! (private L1/TLB mirrors); every printed statistic is
+//! bit-identical either way — CI diffs the outputs.
 
 use compass::report::{format_syscall_table, format_table1};
 use compass::{ArchConfig, CpuCtx, SimBuilder};
@@ -59,12 +57,6 @@ fn main() {
             assert_eq!(total, 64 * 1024);
         });
     builder.config_mut().filter = std::env::var_os("COMPASS_FILTER").is_some_and(|v| v == "1");
-    if let Some(n) = std::env::var_os("COMPASS_WORKERS") {
-        builder.config_mut().backend.workers = n
-            .to_str()
-            .and_then(|s| s.parse().ok())
-            .expect("COMPASS_WORKERS must be a positive integer");
-    }
     let report = builder.run();
 
     println!("simulated cycles : {}", report.backend.global_cycles);

@@ -2,6 +2,7 @@
 //! golden-run determinism of the aggregate report, and hand-computed
 //! per-axis sensitivity fixtures.
 
+use compass::PlacementPolicy;
 use compass_fleet::report::{render, sensitivity, ReportInput};
 use compass_fleet::{dedupe, expand_preset, run_fleet, FleetPoint, Job, JobResult, Knob, Lattice};
 use compass_simcheck::presets;
@@ -17,7 +18,11 @@ const DEPTHS: [Knob; 4] = [
     Knob::Depth(16),
     Knob::Depth(64),
 ];
-const WORKERS: [Knob; 3] = [Knob::Workers(1), Knob::Workers(2), Knob::Workers(4)];
+const PLACEMENTS: [Knob; 3] = [
+    Knob::Placement(PlacementPolicy::FirstTouch),
+    Knob::Placement(PlacementPolicy::RoundRobin),
+    Knob::Placement(PlacementPolicy::Block(2)),
+];
 const OS_BATCH: [Knob; 3] = [Knob::OsBatch(1), Knob::OsBatch(8), Knob::OsBatch(64)];
 const FILTERS: [Knob; 2] = [Knob::Filter(false), Knob::Filter(true)];
 
@@ -29,17 +34,17 @@ proptest! {
     #[test]
     fn expansion_cardinality_is_product_of_axis_sizes(
         nd in 1usize..=4,
-        nw in 1usize..=3,
+        np in 1usize..=3,
         nb in 1usize..=3,
         nf in 1usize..=2,
     ) {
         let lat = Lattice::new("sci_small", presets::sci_small())
             .axis(&DEPTHS[..nd])
-            .axis(&WORKERS[..nw])
+            .axis(&PLACEMENTS[..np])
             .axis(&OS_BATCH[..nb])
             .axis(&FILTERS[..nf]);
         let points = lat.expand();
-        prop_assert_eq!(points.len(), nd * nw * nb * nf);
+        prop_assert_eq!(points.len(), nd * np * nb * nf);
         prop_assert_eq!(lat.cardinality(), points.len());
         let (unique, map) = dedupe(&points);
         prop_assert_eq!(unique.len(), points.len(), "distinct axis values collapsed");
@@ -156,6 +161,9 @@ fn aggregate_report_is_deterministic_modulo_host_fields() {
 
     let run = |job_order: &[Job]| run_fleet(job_order, 1, false);
     let first = render_tiny_fleet(&jobs, &run(&jobs), &lattices, points);
+    for &(_, name) in &compass_obs::counters::RETIRED {
+        assert!(!first.contains(name), "retired counter {name} exported");
+    }
     let second = render_tiny_fleet(&jobs, &run(&jobs), &lattices, points);
     assert_eq!(
         strip_host_lines(&first),
@@ -210,8 +218,8 @@ fn sensitivity_deltas_match_hand_computed_fixture() {
             Knob::Sched(SchedPolicy::Affinity),
         ])
         .axis(&DEPTHS[..2])
-        .axis(&[Knob::Workers(1)]); // degenerate single-point axis
-                                    // Axis points: baseline (Fcfs, d1, w1), Affinity variant, d4 variant.
+        .axis(&[Knob::OsBatch(1)]); // degenerate single-point axis
+                                    // Axis points: baseline (Fcfs, d1, ob1), Affinity variant, d4 variant.
     let base = lat.baseline();
     let affinity = &lat.axis_points(0)[1];
     let deep = &lat.axis_points(1)[1];
@@ -240,11 +248,11 @@ fn sensitivity_deltas_match_hand_computed_fixture() {
     assert!(depth.entries[1].stats_neutral);
 
     // The degenerate axis: one entry, the baseline itself, all zeros.
-    let workers = &sens.axes[2];
-    assert_eq!(workers.axis, "workers");
-    assert_eq!(workers.entries.len(), 1);
-    assert_eq!(workers.entries[0].d_global_cycles, 0);
-    assert_eq!(workers.entries[0].d_events, 0);
+    let os_batch = &sens.axes[2];
+    assert_eq!(os_batch.axis, "os_batch");
+    assert_eq!(os_batch.entries.len(), 1);
+    assert_eq!(os_batch.entries[0].d_global_cycles, 0);
+    assert_eq!(os_batch.entries[0].d_events, 0);
 }
 
 /// A transport axis whose simulated stats differ is a correctness

@@ -126,6 +126,38 @@ fn progress_snapshots_reach_the_callback() {
     assert!(seen_events.load(Ordering::Relaxed) <= report.backend.events);
 }
 
+/// Counters of deleted mechanisms stay retired end to end: with every
+/// observability hook on, no retired name reaches the counter list,
+/// `nonzero()`, or a progress snapshot.
+#[test]
+fn retired_counters_never_surface() {
+    let mut obs = ObsConfig::full(TraceLevel::Coarse);
+    obs.progress_every = Some(200);
+    let snapshots = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&snapshots);
+    let mut b = builder(2, obs).progress(move |snap| {
+        sink.lock().push(format!("{snap:?} {}", snap.one_line()));
+    });
+    b.config_mut().filter = true;
+    let report = b.run();
+    let o = report.obs.expect("obs enabled");
+    let snapshots = snapshots.lock();
+    assert!(!snapshots.is_empty(), "no snapshot fired");
+    for &(_, name) in &compass_obs::counters::RETIRED {
+        assert!(
+            o.counters.iter().all(|&(n, _)| n != name),
+            "retired {name} listed"
+        );
+        assert!(
+            o.nonzero().iter().all(|&(n, _)| n != name),
+            "retired {name} nonzero"
+        );
+        for s in snapshots.iter() {
+            assert!(!s.contains(name), "retired {name} in snapshot {s}");
+        }
+    }
+}
+
 #[test]
 fn disabled_observability_reports_nothing() {
     let report = builder(2, ObsConfig::default()).run();
